@@ -12,9 +12,9 @@ from __future__ import annotations
 from _session import get_session
 
 from repro.data import airbnb
-from repro.sqlext import sky_sql, reference_sql
+from repro.sqlext import sky_sql
 from repro.sqlext.parser import parse_skyline_query
-from repro.core.physical import ALGORITHMS
+from repro.core.physical import ALGORITHMS, listing4_sql
 
 
 def main() -> None:
@@ -30,7 +30,8 @@ def main() -> None:
         parsed = parse_skyline_query(query)
         print(f"parsed spec: {parsed.spec.sql()}\n")
         print("plain-SQL rewrite (Listing 4):")
-        print(reference_sql(parsed.base_sql, parsed.spec), "\n")
+        dims = [d.expr for d in parsed.spec.dimensions]
+        print(listing4_sql(f"({parsed.base_sql})", parsed.spec, dims, null_aware=False), "\n")
         for algo in ALGORITHMS:
             rows = sky_sql(spark, query, algorithm=algo).collect()
             print(f"{algo:>26}: {len(rows)} skyline rows")

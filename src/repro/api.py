@@ -25,8 +25,7 @@ __all__ = ["skyline", "smin", "smax", "sdiff", "SkylineSpec", "SkylineDimension"
 def skyline(df: DataFrame, *dims: SkylineDimension,
             distinct: bool = False, complete: bool = False,
             algorithm: Optional[str] = None,
-            parallelism: Optional[int] = None,
-            optimize: bool = True) -> DataFrame:
+            parallelism: Optional[int] = None) -> DataFrame:
     """Compute the skyline of ``df`` over ``dims``.
 
     ``complete`` is the COMPLETE keyword (§5.5): assert NULL-free
@@ -35,9 +34,7 @@ def skyline(df: DataFrame, *dims: SkylineDimension,
     ``repro.core.physical``).
     """
     spec = SkylineSpec(tuple(dims), distinct=distinct, complete=complete)
-    root: P.LogicalPlan = P.Skyline(
-        P.Relation(df), spec, algorithm=algorithm, parallelism=parallelism
+    root = optimizer.optimize(
+        P.Skyline(P.Relation(df), spec, algorithm=algorithm, parallelism=parallelism)
     )
-    if optimize:
-        root = optimizer.optimize(root)
     return P.execute(root, df.sparkSession)

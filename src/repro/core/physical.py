@@ -30,10 +30,10 @@ dimensions used throughout the evaluation.)
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame, functions as F
+from pyspark.sql import DataFrame, functions as F
 
 from . import bnl
 from .dominance import normalize_matrix
@@ -44,9 +44,10 @@ __all__ = [
     "select_algorithm",
     "compute_skyline",
     "single_dim_skyline",
+    "check_algorithm",
+    "listing4_sql",
     "reference_skyline",
     "reference_skyline_df",
-    "not_exists_condition",
 ]
 
 ALGORITHMS = (
@@ -57,7 +58,6 @@ ALGORITHMS = (
 )
 
 _DIM_PREFIX = "__sky_d"
-_VIEW_COUNTER = [0]
 
 
 def _dim_cols(spec: SkylineSpec) -> list[str]:
@@ -78,6 +78,12 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
         ],
     )
     return out, cols
+
+
+def check_algorithm(algorithm: Optional[str]) -> None:
+    """Reject an algorithm hint that is neither None nor one of :data:`ALGORITHMS`."""
+    if algorithm is not None and algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
 def select_algorithm(spec: SkylineSpec, df: DataFrame) -> str:
@@ -156,8 +162,7 @@ def _distributed_complete(df: DataFrame, spec: SkylineSpec, cols: list[str],
     return _all_tuples(local).mapInPandas(_make_stage(spec, cols, "complete"), df.schema)
 
 
-def _non_distributed_complete(df: DataFrame, spec: SkylineSpec, cols: list[str],
-                              parallelism: Optional[int]) -> DataFrame:
+def _non_distributed_complete(df: DataFrame, spec: SkylineSpec, cols: list[str]) -> DataFrame:
     # Skips the local stage entirely (§6.3 item 2): one global BNL.
     return _all_tuples(df).mapInPandas(_make_stage(spec, cols, "complete"), df.schema)
 
@@ -174,10 +179,9 @@ def _distributed_incomplete(df: DataFrame, spec: SkylineSpec, cols: list[str],
     return _all_tuples(local).mapInPandas(_make_stage(spec, cols, "incomplete_global"), df.schema)
 
 
-def _not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: bool) -> str:
-    """Dominance predicate of Listing 4 over the materialized dim columns.
+def _dominance_condition(spec: SkylineSpec, cols: Sequence[str], *, null_aware: bool) -> str:
+    """Dominance predicate of Listing 4: inner tuple ``i`` dominates outer ``o``.
 
-    ``i`` is the inner (potential dominator), ``o`` the outer tuple.
     The null-aware variant implements the §3 incomplete-data dominance
     (comparisons restricted to dimensions where both sides are
     non-NULL) so the reference computes the same result as the
@@ -187,41 +191,47 @@ def _not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: boo
     strict: list[str] = []
     for d, c in zip(spec.dimensions, cols):
         i, o = f"i.{c}", f"o.{c}"
+        nulls = f" OR {i} IS NULL OR {o} IS NULL" if null_aware else ""
         if d.dim_type is DimType.DIFF:
-            eq = f"{i} = {o}"
-            soft.append(f"({eq} OR {i} IS NULL OR {o} IS NULL)" if null_aware else f"({eq})")
+            soft.append(f"({i} = {o}{nulls})")
             continue
         op_soft, op_strict = ("<=", "<") if d.dim_type is DimType.MIN else (">=", ">")
-        s = f"{i} {op_soft} {o}"
-        t = f"{i} {op_strict} {o}"
-        if null_aware:
-            soft.append(f"({s} OR {i} IS NULL OR {o} IS NULL)")
-            strict.append(f"({t})")  # NULL comparison is never TRUE in SQL
-        else:
-            soft.append(f"({s})")
-            strict.append(f"({t})")
+        soft.append(f"({i} {op_soft} {o}{nulls})")
+        strict.append(f"({i} {op_strict} {o})")  # NULL comparison is never TRUE in SQL
     return " AND ".join(soft + [f"({' OR '.join(strict)})"])
 
 
-# Public alias: the dominance predicate is also the building block of the
-# textual Listing-4 rewrite in repro.sqlext.rewrite.
-def not_exists_condition(spec: SkylineSpec, cols: list[str], *, null_aware: bool) -> str:
-    return _not_exists_condition(spec, cols, null_aware=null_aware)
+def listing4_sql(relation: str, spec: SkylineSpec, cols: Sequence[str], *,
+                 null_aware: bool) -> str:
+    """Listing 4: the skyline of ``relation`` as a plain-SQL ``NOT EXISTS`` query.
+
+    ``relation`` is a table or view name or a parenthesized query;
+    ``cols[k]`` is its column holding dimension ``k`` of ``spec``.
+    The text is engine-neutral: Spark runs it as the reference
+    algorithm, DuckDB runs it as the correctness oracle.
+    Under SQL three-valued semantics (``null_aware=False``) a NULL
+    comparison never satisfies the dominance conjuncts;
+    ``null_aware=True`` adds the explicit IS NULL disjuncts of the §3
+    dominance.  ``DISTINCT`` is not rendered: callers deduplicate on
+    the dimensions.
+    """
+    cond = _dominance_condition(spec, cols, null_aware=null_aware)
+    return (
+        f"SELECT * FROM {relation} AS o WHERE NOT EXISTS ("
+        f"SELECT 1 FROM {relation} AS i WHERE {cond})"
+    )
 
 
 def reference_skyline(df: DataFrame, spec: SkylineSpec, cols: list[str],
                       *, null_aware: bool) -> DataFrame:
-    """Listing 4: plain-SQL ``NOT EXISTS`` rewrite run by the stock engine."""
-    spark = df.sparkSession
-    _VIEW_COUNTER[0] += 1
-    view = f"__sky_ref_{_VIEW_COUNTER[0]}"
-    df.createOrReplaceTempView(view)
-    cond = _not_exists_condition(spec, cols, null_aware=null_aware)
-    sql = (
-        f"SELECT * FROM {view} AS o WHERE NOT EXISTS ("
-        f"SELECT * FROM {view} AS i WHERE {cond})"
-    )
-    return spark.sql(sql)
+    """Listing 4 run by the stock engine over ``df``.
+
+    ``spark.sql`` registers ``df`` under a fresh view name for the one
+    statement it analyzes and drops the view again, so nothing is left
+    in the session catalog.
+    """
+    sql = listing4_sql("{df}", spec, cols, null_aware=null_aware)
+    return df.sparkSession.sql(sql, df=df)
 
 
 def reference_skyline_df(df: DataFrame, spec: SkylineSpec, *,
@@ -282,14 +292,13 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
     stage (None = keep the child's partitioning, the paper's
     ``UnspecifiedDistribution`` default).
     """
+    check_algorithm(algorithm)
     algorithm = algorithm or select_algorithm(spec, df)
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     work, cols = _materialize_dims(df, spec)
     if algorithm == "distributed_complete":
         out = _distributed_complete(work, spec, cols, parallelism)
     elif algorithm == "non_distributed_complete":
-        out = _non_distributed_complete(work, spec, cols, parallelism)
+        out = _non_distributed_complete(work, spec, cols)
     elif algorithm == "distributed_incomplete":
         out = _distributed_incomplete(work, spec, cols, parallelism)
     else:

@@ -9,9 +9,8 @@ Spark SQL:
 Non-skyline queries pass straight through to ``spark.sql`` — the
 integration has no effect on other queries (§5.9).
 
-``algorithm="reference"`` short-circuits to the Listing-4 plain-SQL
-rewrite executed by the stock engine (the baseline of §6.3); the
-specialized path with optimizer rules is used otherwise.
+Every algorithm, the Listing-4 ``reference`` baseline included, takes
+the same path; the optimizer rule leaves a ``reference`` skyline alone.
 """
 from __future__ import annotations
 
@@ -20,56 +19,39 @@ from typing import Optional
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core import optimizer, plan as P
-from ..core.physical import ALGORITHMS
 from . import analyzer
 from .parser import parse_skyline_query
-from .rewrite import reference_sql
 
 __all__ = ["sky_sql"]
 
 
 def sky_sql(spark: SparkSession, query: str, *,
             algorithm: Optional[str] = None,
-            parallelism: Optional[int] = None,
-            optimize: bool = True) -> DataFrame:
+            parallelism: Optional[int] = None) -> DataFrame:
     """Execute ``query``, which may contain a ``SKYLINE OF`` clause.
 
     ``algorithm``/``parallelism`` override physical planning exactly
-    like :func:`repro.core.physical.compute_skyline`; ``optimize=False``
-    disables the skyline-specific Catalyst-style rules (for tests and
-    ablations).
+    like :func:`repro.core.physical.compute_skyline`.
     """
-    if algorithm is not None and algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     parsed = parse_skyline_query(query)
     if parsed is None:
         return spark.sql(query)
 
     resolved = analyzer.resolve(spark, parsed.base_sql, parsed.spec)
-
-    if algorithm == "reference":
-        sql = reference_sql(
-            resolved.base_sql, resolved.spec,
-            null_aware=not resolved.spec.complete,
-            select="*",
-        )
-        out = spark.sql(sql)
-        if resolved.final_columns:
-            out = out.select(*resolved.final_columns)
-    else:
-        base_df = spark.sql(resolved.base_sql)
-        root: P.LogicalPlan = P.Skyline(
-            P.Relation(base_df), resolved.spec,
-            algorithm=algorithm, parallelism=parallelism,
-        )
-        if optimize:
-            root = optimizer.optimize(root)
-        out = P.execute(root, spark)
-        if resolved.final_columns:
-            out = out.select(*resolved.final_columns)
+    root = optimizer.optimize(P.Skyline(
+        P.Relation(spark.sql(resolved.base_sql)), resolved.spec,
+        algorithm=algorithm, parallelism=parallelism,
+    ))
+    out = P.execute(root, spark)
+    if resolved.final_columns:
+        out = out.select(*resolved.final_columns)
 
     if parsed.order_by is not None:
-        out = P.execute(P.Sort(P.Relation(out), parsed.order_by), spark)
+        # The sort items are raw SQL over the output columns; ``spark.sql``
+        # drops the view it registers for ``{out}`` once it has analyzed
+        # the statement.  Braces are doubled so they reach Spark as typed.
+        order = parsed.order_by.replace("{", "{{").replace("}", "}}")
+        out = spark.sql(f"SELECT * FROM {{out}} ORDER BY {order}", out=out)
     if parsed.limit is not None:
         out = out.limit(parsed.limit)
     return out

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.api import sdiff, skyline, smax, smin
+from repro.core.physical import compute_skyline
 from repro.core.spec import spec_of
 
 from tests.helpers import skyline_oracle_pandas
@@ -66,15 +67,23 @@ class TestSkylineApi:
             assert sorted(out["id"]) == sorted(exp["id"])
 
     def test_optimize_flag_single_dim(self, listings):
-        pdf, df = listings
+        # The single-dimension rewrite against the generic algorithm.
+        _, df = listings
         fast = skyline(df, smin("price")).toPandas()
-        slow = skyline(df, smin("price"), optimize=False).toPandas()
+        slow = compute_skyline(df, spec_of(smin("price"))).toPandas()
         assert sorted(fast["id"]) == sorted(slow["id"])
 
     def test_no_dims_rejected(self, listings):
         _, df = listings
         with pytest.raises(ValueError):
             skyline(df)
+
+    def test_unknown_algorithm_rejected_single_dim(self, listings):
+        # The single-dimension rewrite replaces the Skyline node before
+        # physical planning, so the hint must be checked when it is built.
+        _, df = listings
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            skyline(df, smin("price"), algorithm="typo")
 
     def test_expression_dims(self, listings):
         pdf, df = listings

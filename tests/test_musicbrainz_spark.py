@@ -6,8 +6,8 @@ from repro.data.musicbrainz import (
     BASE_QUERY_COMPLETE, BASE_QUERY_INCOMPLETE, MUSICBRAINZ_DIMS,
     musicbrainz_dims, musicbrainz_tables,
 )
+from repro.core.physical import listing4_sql
 from repro.sqlext import sky_sql
-from repro.sqlext.rewrite import reference_sql
 from repro.sqlext.parser import parse_skyline_query
 
 
@@ -54,7 +54,8 @@ class TestComplexSkylines:
         q = skyline_query(BASE_QUERY_INCOMPLETE, k, complete=False)
         got = sky_sql(spark, q, algorithm="distributed_incomplete").toPandas()
         parsed = parse_skyline_query(q)
-        ref = reference_sql(parsed.base_sql, parsed.spec, null_aware=True)
+        dims = [d.expr for d in parsed.spec.dimensions]
+        ref = listing4_sql(f"({parsed.base_sql})", parsed.spec, dims, null_aware=True)
         exp = _duckdb_base(mb, ref)
         assert sorted(got["id"]) == sorted(exp["id"])
 

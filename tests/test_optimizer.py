@@ -1,10 +1,8 @@
-"""Unit tests for the optimizer rules (repro.core.optimizer) — no Spark jobs."""
-import pytest
-
+"""Unit tests for the optimizer rule (repro.core.optimizer) — no Spark jobs."""
 from repro.core import optimizer as O, plan as P
 from repro.core.spec import sdiff, smax, smin, spec_of
 
-from tests.test_plan import FakeDF, rel
+from tests.test_plan import rel
 
 
 class TestSingleDimensionRewrite:
@@ -38,71 +36,19 @@ class TestSingleDimensionRewrite:
         assert self.rule(node) is node
 
     def test_non_skyline_node_untouched(self):
-        node = P.Filter(rel("a"), "a > 0")
-        assert self.rule(node) is node
-
-
-class TestPushSkylineThroughJoin:
-    rule = O.PushSkylineThroughJoin()
-
-    def _join(self, non_reductive="left", how="inner"):
-        return P.Join(rel("k", "price", "rating"), rel("k", "extra"),
-                      on=("k",), how=how, non_reductive=non_reductive)
-
-    def test_pushes_to_left(self):
-        node = P.Skyline(self._join(), spec_of(smin("price"), smax("rating")),
-                         parallelism=4)
-        out = self.rule(node)
-        assert isinstance(out, P.Join)
-        assert isinstance(out.left, P.Skyline)
-        assert out.left.parallelism == 4
-        assert not isinstance(out.right, P.Skyline)
-
-    def test_pushes_to_right(self):
-        j = P.Join(rel("k", "a"), rel("k", "x", "y"), on=("k",), non_reductive="right")
-        node = P.Skyline(j, spec_of(smin("x"), smax("y")))
-        out = self.rule(node)
-        assert isinstance(out.right, P.Skyline)
-
-    def test_no_declaration_no_push(self):
-        node = P.Skyline(self._join(non_reductive=None), spec_of(smin("price")))
-        assert self.rule(node) is node
-
-    def test_dims_spanning_sides_not_pushed(self):
-        node = P.Skyline(self._join(), spec_of(smin("price"), smax("extra")))
-        assert self.rule(node) is node
-
-    def test_outer_join_not_pushed(self):
-        node = P.Skyline(self._join(how="left"), spec_of(smin("price")))
-        assert self.rule(node) is node
-
-    def test_distinct_not_pushed(self):
-        node = P.Skyline(self._join(), spec_of(smin("price"), distinct=True))
-        assert self.rule(node) is node
-
-    def test_expression_dim_not_pushed(self):
-        node = P.Skyline(self._join(), spec_of(smin("price * 2")))
-        assert self.rule(node) is node
-
-    def test_reference_algorithm_untouched(self):
-        node = P.Skyline(self._join(), spec_of(smin("price")), algorithm="reference")
+        node = rel("a")
         assert self.rule(node) is node
 
 
 class TestOptimizePipeline:
-    def test_push_then_single_dim(self):
-        # After the push-down the one-dimension skyline on the left
-        # side must also get the scalar-subquery rewrite.
-        j = P.Join(rel("k", "price"), rel("k", "x"), on=("k",), non_reductive="left")
-        root = P.Skyline(j, spec_of(smin("price")))
-        out = O.optimize(root)
-        assert isinstance(out, P.Join)
-        assert isinstance(out.left, P.SingleDimSkyline)
-
     def test_optimize_preserves_plain_tree(self):
-        tree = P.Filter(rel("a"), "a > 0")
+        # No rule fires: the argument itself comes back.
+        tree = P.Skyline(rel("a", "b"), spec_of(smin("a"), smax("b")))
         assert O.optimize(tree) is tree
 
-    def test_custom_rule_list(self):
-        node = P.Skyline(rel("a"), spec_of(smin("a")))
-        assert O.optimize(node, rules=[]) is node
+    def test_rewrites_below_the_root(self):
+        # Skyline of a one-dimension skyline: only the inner node qualifies.
+        inner = P.Skyline(rel("a", "b"), spec_of(smin("a")))
+        out = O.optimize(P.Skyline(inner, spec_of(smin("a"), smax("b"))))
+        assert isinstance(out, P.Skyline)
+        assert isinstance(out.child, P.SingleDimSkyline)

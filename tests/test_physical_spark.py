@@ -8,10 +8,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.physical import ALGORITHMS, compute_skyline, select_algorithm
+from repro.core.physical import ALGORITHMS, compute_skyline, listing4_sql, select_algorithm
 from repro.core.spec import SkylineSpec, sdiff, smax, smin, spec_of
 from repro.oracle import assert_equivalent
-from repro.sqlext.rewrite import reference_sql_for_table
 
 from tests.helpers import assert_skyline_equals_oracle, skyline_oracle_pandas
 
@@ -49,7 +48,7 @@ class TestCompleteAlgorithms:
         df = spark.createDataFrame(pdf)
         spec = spec_of(smin("a"), smax("b"), complete=True)
         out = compute_skyline(df, spec, algorithm=algorithm)
-        sql = reference_sql_for_table("t", SkylineSpec(spec.dimensions))
+        sql = listing4_sql("t", spec, ["a", "b"], null_aware=False)
         assert_equivalent(out, sql, t=pdf)
 
     @pytest.mark.parametrize("algorithm", SPECIALIZED)

@@ -16,89 +16,39 @@ def rel(*cols):
     return P.Relation(FakeDF(cols))
 
 
-class TestSelectItemName:
-    @pytest.mark.parametrize("item,name", [
-        ("a", "a"),
-        ("  a  ", "a"),
-        ("t.a", "a"),
-        ("a AS b", "b"),
-        ("sum(x) AS s", "s"),
-        ("sum(x) as s", "s"),
-        ("sum(x)", None),
-        ("a + b", None),
-    ])
-    def test_cases(self, item, name):
-        assert P.select_item_name(item) == name
-
-
-class TestOutputColumns:
-    def test_relation(self):
-        assert P.output_columns(rel("a", "b")) == ["a", "b"]
-
-    def test_project(self):
-        p = P.Project(rel("a", "b", "c"), ("a", "b AS bb"))
-        assert P.output_columns(p) == ["a", "bb"]
-
-    def test_project_star(self):
-        p = P.Project(rel("a", "b"), ("*", "a AS a2"))
-        assert P.output_columns(p) == ["a", "b", "a2"]
-
-    def test_project_unknown_expr_placeholder(self):
-        p = P.Project(rel("a"), ("a + 1",))
-        assert P.output_columns(p) == ["<expr:a + 1>"]
-
-    def test_filter_sort_limit_passthrough(self):
-        r = rel("a")
-        assert P.output_columns(P.Filter(r, "a > 1")) == ["a"]
-        assert P.output_columns(P.Sort(r, "a")) == ["a"]
-        assert P.output_columns(P.Limit(r, 3)) == ["a"]
-
-    def test_skyline_passthrough(self):
-        s = P.Skyline(rel("a", "b"), spec_of(smin("a")))
-        assert P.output_columns(s) == ["a", "b"]
-
-    def test_join_using_dedupes_keys(self):
-        j = P.Join(rel("k", "a"), rel("k", "b"), on=("k",))
-        assert P.output_columns(j) == ["k", "a", "b"]
-
-
-class TestJoinValidation:
-    def test_bad_non_reductive_rejected(self):
-        with pytest.raises(ValueError):
-            P.Join(rel("a"), rel("b"), on=("a",), non_reductive="both")
-
-    @pytest.mark.parametrize("side", [None, "left", "right"])
-    def test_valid_sides(self, side):
-        P.Join(rel("a"), rel("b"), on=("a",), non_reductive=side)
-
-
 class TestTransformUp:
+    # Relation -> Skyline -> Skyline: a skyline of a skyline.
+    def _tree(self):
+        r = rel("a", "b")
+        inner = P.Skyline(r, spec_of(smin("a")))
+        return r, inner, P.Skyline(inner, spec_of(smin("a"), smax("b")))
+
     def test_identity(self):
-        tree = P.Skyline(P.Filter(rel("a"), "a > 0"), spec_of(smin("a")))
+        *_, tree = self._tree()
         assert P.transform_up(tree, lambda n: n) is tree
 
     def test_bottom_up_order(self):
         visited = []
-        tree = P.Skyline(P.Filter(rel("a"), "a > 0"), spec_of(smin("a")))
-        P.transform_up(tree, lambda n: (visited.append(type(n).__name__), n)[1])
-        assert visited == ["Relation", "Filter", "Skyline"]
+        r, inner, tree = self._tree()
+        P.transform_up(tree, lambda n: (visited.append(n), n)[1])
+        assert visited == [r, inner, tree]
 
     def test_child_replacement_rebuilds_ancestors(self):
-        r = rel("a")
-        tree = P.Skyline(P.Filter(r, "a > 0"), spec_of(smin("a")))
+        r, inner, tree = self._tree()
 
         def rule(n):
-            if isinstance(n, P.Filter):
-                return P.Filter(n.child, "a > 1")
+            if n is inner:
+                return P.SingleDimSkyline(n.child, n.spec)
             return n
 
         new = P.transform_up(tree, rule)
         assert new is not tree
-        assert new.child.condition == "a > 1"
+        assert isinstance(new.child, P.SingleDimSkyline)
         assert new.child.child is r
+        assert new.spec is tree.spec
 
-    def test_join_children_both_visited(self):
-        names = []
-        j = P.Join(rel("a"), rel("b"), on=())
-        P.transform_up(j, lambda n: (names.append(type(n).__name__), n)[1])
-        assert names == ["Relation", "Relation", "Join"]
+
+class TestSkylineNode:
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            P.Skyline(rel("a"), spec_of(smin("a")), algorithm="typo")

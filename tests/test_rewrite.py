@@ -1,57 +1,64 @@
-"""Unit tests for the Listing-4 reference rewrite (repro.sqlext.rewrite)."""
+"""Unit tests for the Listing-4 reference rewrite (repro.core.physical.listing4_sql)."""
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.physical import not_exists_condition
+from repro.core.physical import listing4_sql
 from repro.core.spec import sdiff, smax, smin, spec_of
-from repro.sqlext.rewrite import reference_sql, reference_sql_for_table
 
 from tests.helpers import skyline_oracle_pandas
+
+
+def _sql(relation, spec, *, null_aware=False):
+    """Listing 4 over ``relation`` whose columns are named like the dimensions."""
+    return listing4_sql(relation, spec, [d.expr for d in spec.dimensions],
+                        null_aware=null_aware)
 
 
 class TestCondition:
     def test_min_max_operators(self):
         spec = spec_of(smin("a"), smax("b"))
-        cond = not_exists_condition(spec, ["a", "b"], null_aware=False)
+        cond = listing4_sql("t", spec, ["a", "b"], null_aware=False)
         assert "(i.a <= o.a)" in cond and "(i.b >= o.b)" in cond
         assert "(i.a < o.a) OR (i.b > o.b)" in cond
 
     def test_diff_equality(self):
         spec = spec_of(smin("a"), sdiff("c"))
-        cond = not_exists_condition(spec, ["a", "c"], null_aware=False)
+        cond = listing4_sql("t", spec, ["a", "c"], null_aware=False)
         assert "(i.c = o.c)" in cond
         # DIFF never contributes to the strict disjunction.
         assert "i.c <" not in cond and "i.c >" not in cond
 
     def test_null_aware_soft_disjuncts(self):
         spec = spec_of(smin("a"))
-        cond = not_exists_condition(spec, ["a"], null_aware=True)
+        cond = listing4_sql("t", spec, ["a"], null_aware=True)
         assert "i.a IS NULL" in cond and "o.a IS NULL" in cond
 
     def test_null_aware_diff(self):
         spec = spec_of(smin("a"), sdiff("c"))
-        cond = not_exists_condition(spec, ["a", "c"], null_aware=True)
+        cond = listing4_sql("t", spec, ["a", "c"], null_aware=True)
         assert "(i.c = o.c OR i.c IS NULL OR o.c IS NULL)" in cond
 
 
 class TestReferenceSql:
     def test_shape_matches_listing4(self):
-        sql = reference_sql("SELECT * FROM hotels", spec_of(smin("price"), smax("rating")))
+        sql = _sql("(SELECT * FROM hotels)", spec_of(smin("price"), smax("rating")))
         assert sql.startswith("SELECT * FROM (SELECT * FROM hotels) AS o WHERE NOT EXISTS (")
         assert "SELECT 1 FROM (SELECT * FROM hotels) AS i" in sql
 
-    def test_expression_dims_rejected(self):
-        with pytest.raises(ValueError, match="plain"):
-            reference_sql("SELECT * FROM t", spec_of(smin("a + b")))
+    def test_dims_read_from_given_columns(self):
+        sql = listing4_sql("t", spec_of(smin("a + b")), ["d0"], null_aware=False)
+        assert "(i.d0 <= o.d0)" in sql and "a + b" not in sql
 
-    def test_distinct_wraps(self):
-        sql = reference_sql("SELECT a FROM t", spec_of(smin("a"), distinct=True), select="a")
-        assert sql.startswith("SELECT DISTINCT a FROM (")
+    def test_distinct_not_rendered(self):
+        # DISTINCT keeps one row per dimension tuple; callers deduplicate on
+        # the dimensions, never on the whole row.
+        sql = _sql("t", spec_of(smin("a"), distinct=True))
+        assert "DISTINCT" not in sql
 
     def test_table_variant(self):
-        sql = reference_sql_for_table("hotels", spec_of(smin("price")))
+        sql = _sql("hotels", spec_of(smin("price")))
         assert "FROM hotels AS o" in sql and "FROM hotels AS i" in sql
 
 
@@ -76,7 +83,7 @@ class TestAgainstDefinitionalOracle:
         pdf = pd.DataFrame(rng.integers(0, 5, size=(40, d)).astype(float), columns=cols)
         pdf["id"] = np.arange(40)
         spec = spec_of(*[smin(c) if i % 2 == 0 else smax(c) for i, c in enumerate(cols)])
-        got = _run_duckdb(reference_sql_for_table("t", spec), t=pdf)
+        got = _run_duckdb(_sql("t", spec), t=pdf)
         exp = skyline_oracle_pandas(pdf, spec, incomplete=False)
         assert sorted(got["id"]) == sorted(exp["id"])
 
@@ -89,7 +96,7 @@ class TestAgainstDefinitionalOracle:
         pdf = pdf.mask(mask)
         pdf["id"] = np.arange(40)
         spec = spec_of(smin("a"), smax("b"), smin("c"))
-        got = _run_duckdb(reference_sql_for_table("t", spec, null_aware=True), t=pdf)
+        got = _run_duckdb(_sql("t", spec, null_aware=True), t=pdf)
         exp = skyline_oracle_pandas(pdf, spec, incomplete=True)
         assert sorted(got["id"]) == sorted(exp["id"])
 
@@ -99,7 +106,7 @@ class TestAgainstDefinitionalOracle:
         # reference uses the null-aware variant.
         pdf = pd.DataFrame({"a": [1.0, 2.0], "b": [np.nan, 5.0], "id": [0, 1]})
         spec = spec_of(smin("a"), smin("b"))
-        plain = _run_duckdb(reference_sql_for_table("t", spec), t=pdf)
-        aware = _run_duckdb(reference_sql_for_table("t", spec, null_aware=True), t=pdf)
+        plain = _run_duckdb(_sql("t", spec), t=pdf)
+        aware = _run_duckdb(_sql("t", spec, null_aware=True), t=pdf)
         assert sorted(plain["id"]) == [0, 1]   # NULL blocks dominance in SQL
         assert sorted(aware["id"]) == [0]      # row 0 null-aware-dominates row 1

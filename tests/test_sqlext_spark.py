@@ -3,6 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.api import skyline
+from repro.core.physical import ALGORITHMS, reference_skyline_df
 from repro.core.spec import smax, smin, spec_of
 from repro.oracle import assert_equivalent
 from repro.sqlext import sky_sql
@@ -25,6 +27,10 @@ def hotels(spark):
         }
     )
     spark.createDataFrame(pdf).createOrReplaceTempView("hotels")
+    # Every row twice under a new id: each skyline point is a tie on all
+    # dimensions between rows that differ in ``id``.
+    twice = pd.concat([pdf, pdf.assign(id=pdf["id"] + n)], ignore_index=True)
+    spark.createDataFrame(twice).createOrReplaceTempView("hotels_twice")
     return pdf
 
 
@@ -90,13 +96,22 @@ class TestBasicQueries:
         )
         assert sorted(out["id"]) == sorted(exp["id"])
 
-    def test_distinct_keyword(self, spark, hotels):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_distinct_keyword(self, spark, hotels, algorithm):
+        # ``id`` differs between tied rows: DISTINCT must still keep one
+        # row per dimension tuple, whatever else is projected.
         out = sky_sql(
             spark,
-            "SELECT price, user_rating FROM hotels "
+            "SELECT id, price, user_rating FROM hotels_twice "
             "SKYLINE OF DISTINCT price MIN, user_rating MAX",
+            algorithm=algorithm,
         ).toPandas()
+        exp = skyline_oracle_pandas(
+            hotels, spec_of(smin("price"), smax("user_rating")), incomplete=False
+        )
         assert not out.duplicated(["price", "user_rating"]).any()
+        assert set(zip(out["price"], out["user_rating"])) == set(
+            zip(exp["price"], exp["user_rating"]))
 
     def test_single_dim_equals_min(self, spark, hotels):
         out = sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN").toPandas()
@@ -223,3 +238,25 @@ class TestSkylineOverComplexBase:
     def test_parse_error_propagates(self, spark, hotels):
         with pytest.raises(SkylineParseError):
             sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price")
+
+
+class TestSessionCatalog:
+    def test_no_temp_views_left_behind(self, spark, hotels):
+        def temp_views():
+            return {t.name for t in spark.catalog.listTables() if t.isTemporary}
+
+        before = temp_views()
+        df = spark.table("hotels")
+        spec = spec_of(smin("price"), smax("user_rating"))
+        results = [
+            sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX "
+                           "ORDER BY price, id"),
+            sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX",
+                    algorithm="reference"),
+            skyline(df, smin("price"), smax("user_rating"), algorithm="reference"),
+            reference_skyline_df(df, spec, null_aware=False),
+        ]
+        assert temp_views() == before
+        # The views were only needed for analysis: every result still runs.
+        expected = len(skyline_oracle_pandas(hotels, spec, incomplete=False))
+        assert [r.count() for r in results] == [expected] * len(results)
