@@ -7,9 +7,9 @@ pandas batches via ``mapInPandas``.
 
 * :func:`bnl_skyline_mask` — the window-based BNL algorithm [5] for
   complete data, used for both the local and the global stage of the
-  "complete" algorithms.  Vectorized in chunks: each incoming chunk is
-  first bulk-filtered against the current window, and only the
-  survivors go through the per-tuple insert/evict loop.
+  "complete" algorithms.  Rows are merged into the window a block at a
+  time by three batch dominance checks (window → block, block → block,
+  block → window); no step loops over single rows.
 * :func:`incomplete_local_skyline_mask` — local stage for incomplete
   data: rows are grouped by their null bitmap (which dimensions are
   NULL) and a complete BNL runs inside each group over the group's
@@ -35,16 +35,37 @@ __all__ = [
     "naive_skyline_mask",
 ]
 
-_CHUNK = 2048
+_CHUNK = 512
 
 
 def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _CHUNK) -> np.ndarray:
     """Complete-data BNL: boolean keep-mask of the skyline rows of (mm, diff).
 
-    The window holds (indices of) the skyline of all rows seen so far.
-    A tuple dominated by the window is dropped without further checks
-    (transitivity); a surviving tuple evicts every window tuple it
-    dominates and is inserted (also when merely incomparable) [5].
+    The window holds (indices of) the skyline of all rows seen so far
+    [5].  Rows arrive in blocks of ``chunk``; each block is merged into
+    the window by three batch steps, with no per-row loop:
+
+    1. drop the candidates dominated by a window row;
+    2. drop the candidates dominated by another surviving candidate
+       (a row never dominates an equal row, itself included, so the
+       block is simply compared with itself);
+    3. evict the window rows dominated by a remaining candidate, and
+       append the remaining candidates to the window.
+
+    This is exact because complete dominance is a strict partial order
+    (irreflexive and transitive), so the skyline is the unique set of
+    minimal rows, and in a finite set every non-minimal row is
+    dominated by a minimal one.  Assume the window is the skyline of
+    the rows seen before the block.  A candidate dominated by an
+    earlier row is then dominated by a window row, so step 1 finds it.
+    A candidate dominated by a candidate that step 1 dropped is, by
+    transitivity, dominated by a window row too, so step 2 only needs
+    the step-1 survivors; and it leaves exactly their minimal rows.
+    In step 3, a window row dominated by a candidate that step 2
+    dropped is dominated by a step-2 survivor (transitivity again),
+    and no window row is dominated by a candidate that step 1 dropped,
+    since that would put one window row below another.  So after step
+    3 the window is the skyline of every row seen so far.
     """
     n = mm.shape[0]
     keep = np.zeros(n, dtype=bool)
@@ -52,34 +73,20 @@ def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _C
         return keep
     if np.isnan(mm).any() or (diff is not None and np.isnan(diff).any()):
         raise ValueError("bnl_skyline_mask requires complete (NaN-free) data")
-    w_idx: np.ndarray = np.empty(0, dtype=np.int64)
+
+    def dominated(by: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return dm.dominated_mask_complete(
+            mm[by], None if diff is None else diff[by],
+            mm[rows], None if diff is None else diff[rows],
+        )
+
+    window = np.empty(0, dtype=np.int64)
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        cand = np.arange(lo, hi)
-        if w_idx.size:
-            d = dm.dominated_mask_complete(
-                mm[w_idx], None if diff is None else diff[w_idx],
-                mm[cand], None if diff is None else diff[cand],
-            )
-            cand = cand[~d]
-        for i in cand:
-            t_mm = mm[i]
-            t_diff = None if diff is None else diff[i]
-            if w_idx.size:
-                w_mm = mm[w_idx]
-                w_diff = None if diff is None else diff[w_idx]
-                if dm.any_dominates_complete(w_mm, w_diff, t_mm, t_diff):
-                    continue
-                # Evict window tuples dominated by t.
-                le = np.all(t_mm <= w_mm, axis=1)
-                lt = np.any(t_mm < w_mm, axis=1)
-                evict = le & lt
-                if diff is not None:
-                    evict &= np.all(t_diff == w_diff, axis=1)
-                if evict.any():
-                    w_idx = w_idx[~evict]
-            w_idx = np.append(w_idx, i)
-    keep[w_idx] = True
+        cand = np.arange(lo, min(n, lo + chunk))
+        cand = cand[~dominated(window, cand)]
+        cand = cand[~dominated(cand, cand)]
+        window = np.concatenate([window[~dominated(cand, window)], cand])
+    keep[window] = True
     return keep
 
 

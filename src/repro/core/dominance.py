@@ -19,6 +19,11 @@ Incomplete data (§3): every comparison is restricted to dimensions
 where *both* tuples are non-NULL; DIFF dimensions where either side is
 NULL are treated as equal.  This relation is not transitive, which is
 why the incomplete global phase (bnl.py) never deletes eagerly.
+
+The algorithms run only the batch masks ``dominated_mask_*``.  The
+per-tuple checks ``dominates_*`` and ``any_dominates_*`` state the
+definitions directly and serve the test oracle
+(``bnl.naive_skyline_mask``) and the tests.
 """
 from __future__ import annotations
 
@@ -67,6 +72,27 @@ def _check_pair_shapes(mm: np.ndarray, diff: np.ndarray | None) -> None:
         raise ValueError("diff row count must match mm")
 
 
+# About 4M (set, candidate) pairs per block: each (n_set, block) boolean
+# accumulator then stays near 4 MB whatever the window size.
+_BLOCK_PAIRS = 4_000_000
+
+
+def _columns(x: np.ndarray | None) -> np.ndarray:
+    """The columns of ``x`` as contiguous rows (none for ``None``).
+
+    The folds read one dimension at a time; a contiguous copy of each
+    column is much faster to stream than a strided view of ``x``.
+    """
+    return np.empty((0, 0)) if x is None else np.ascontiguousarray(x.T)
+
+
+def _cand_blocks(n_set: int, n_cand: int):
+    """``(lo, hi)`` candidate ranges of at most ``_BLOCK_PAIRS // n_set`` rows."""
+    step = max(1, _BLOCK_PAIRS // n_set)
+    for lo in range(0, n_cand, step):
+        yield lo, min(n_cand, lo + step)
+
+
 # ---------------------------------------------------------------------------
 # Complete-data kernels
 # ---------------------------------------------------------------------------
@@ -95,9 +121,18 @@ def dominated_mask_complete(mm: np.ndarray, diff: np.ndarray | None,
                             cand_mm: np.ndarray, cand_diff: np.ndarray | None) -> np.ndarray:
     """Boolean mask over ``cand``: candidate i is dominated by some row of the set.
 
-    Chunked over candidates so peak memory stays at
-    ``O(chunk * |set|)``; this is the batch-elimination primitive of
-    the chunked BNL in bnl.py.
+    The batch-elimination primitive of the block BNL in bnl.py.  For
+    each block of candidates the Definition-3.1 test is folded one
+    dimension at a time into 2-D ``(n_set, block)`` accumulators::
+
+        le  = AND_j  set[:, j] <= cand[:, j]
+        eq  = AND_j  set[:, j] == cand[:, j]
+        dom = le & ~eq  [& AND_j set_diff[:, j] == cand_diff[:, j]]
+
+    ``le & ~eq`` is "no worse everywhere and not equal everywhere",
+    i.e. "no worse everywhere and strictly better somewhere".  No
+    ``(n_set, block, k)`` temporary is built; peak memory is a few
+    ``(n_set, block)`` boolean arrays (see :func:`_cand_blocks`).
     """
     _check_pair_shapes(mm, diff)
     n_set = mm.shape[0]
@@ -105,18 +140,18 @@ def dominated_mask_complete(mm: np.ndarray, diff: np.ndarray | None,
     out = np.zeros(n_cand, dtype=bool)
     if n_set == 0 or n_cand == 0:
         return out
-    # Aim for ~32M float comparisons per chunk.
-    chunk = max(1, int(32_000_000 / max(1, n_set * max(1, mm.shape[1]))))
-    for lo in range(0, n_cand, chunk):
-        hi = min(n_cand, lo + chunk)
-        c_mm = cand_mm[lo:hi]  # (c, k)
-        # (n_set, c, k) broadcasting via expansion on axis 1.
-        le = np.all(mm[:, None, :] <= c_mm[None, :, :], axis=2)
-        lt = np.any(mm[:, None, :] < c_mm[None, :, :], axis=2)
-        dom = le & lt
-        if diff is not None:
-            c_diff = cand_diff[lo:hi]
-            dom &= np.all(diff[:, None, :] == c_diff[None, :, :], axis=2)
+    s_mm, c_mm = _columns(mm), _columns(cand_mm)
+    s_diff, c_diff = _columns(diff), _columns(cand_diff)
+    for lo, hi in _cand_blocks(n_set, n_cand):
+        shape = (n_set, hi - lo)
+        le, eq, tmp = np.ones(shape, bool), np.ones(shape, bool), np.empty(shape, bool)
+        for a, b in zip(s_mm, c_mm):
+            a, b = a[:, None], b[None, lo:hi]
+            le &= np.less_equal(a, b, out=tmp)
+            eq &= np.equal(a, b, out=tmp)
+        dom = np.logical_and(le, ~eq, out=le)
+        for a, b in zip(s_diff, c_diff):
+            dom &= np.equal(a[:, None], b[None, lo:hi], out=tmp)
         out[lo:hi] = dom.any(axis=0)
     return out
 
@@ -161,6 +196,18 @@ def dominated_mask_incomplete(mm: np.ndarray, diff: np.ndarray | None,
                               *, exclude_self: bool = False) -> np.ndarray:
     """Null-aware batch mask: candidate i dominated by some row of the set.
 
+    The same per-dimension fold as :func:`dominated_mask_complete`,
+    written so that a NaN on either side drops out of the test: every
+    comparison with NaN is False, so ::
+
+        worse  = OR_j  set[:, j] > cand[:, j]
+                 OR_j  set_diff[:, j] < cand_diff[:, j] | set_diff[:, j] > cand_diff[:, j]
+        better = OR_j  set[:, j] < cand[:, j]
+        dom    = better & ~worse
+
+    only look at dimensions where both values are non-NULL, and a NULL
+    DIFF value matches everything.
+
     With ``exclude_self=True`` the set and candidates are the *same*
     array and row i is not compared against itself — this is the
     all-pairs global phase for incomplete data (Appendix A "Correct
@@ -174,22 +221,20 @@ def dominated_mask_incomplete(mm: np.ndarray, diff: np.ndarray | None,
     out = np.zeros(n_cand, dtype=bool)
     if n_set == 0 or n_cand == 0:
         return out
-    chunk = max(1, int(16_000_000 / max(1, n_set * max(1, mm.shape[1]))))
-    set_nan = np.isnan(mm)
-    for lo in range(0, n_cand, chunk):
-        hi = min(n_cand, lo + chunk)
-        c_mm = cand_mm[lo:hi]
-        c_nan = np.isnan(c_mm)
-        both = ~set_nan[:, None, :] & ~c_nan[None, :, :]  # (n_set, c, k)
-        with np.errstate(invalid="ignore"):
-            ok = np.all(~both | (mm[:, None, :] <= c_mm[None, :, :]), axis=2)
-            better = np.any(both & (mm[:, None, :] < c_mm[None, :, :]), axis=2)
-        dom = ok & better
-        if diff is not None:
-            c_diff = cand_diff[lo:hi]
-            both_d = ~np.isnan(diff)[:, None, :] & ~np.isnan(c_diff)[None, :, :]
-            with np.errstate(invalid="ignore"):
-                dom &= np.all(~both_d | (diff[:, None, :] == c_diff[None, :, :]), axis=2)
+    s_mm, c_mm = _columns(mm), _columns(cand_mm)
+    s_diff, c_diff = _columns(diff), _columns(cand_diff)
+    for lo, hi in _cand_blocks(n_set, n_cand):
+        shape = (n_set, hi - lo)
+        worse, better, tmp = np.zeros(shape, bool), np.zeros(shape, bool), np.empty(shape, bool)
+        for a, b in zip(s_mm, c_mm):
+            a, b = a[:, None], b[None, lo:hi]
+            worse |= np.greater(a, b, out=tmp)
+            better |= np.less(a, b, out=tmp)
+        for a, b in zip(s_diff, c_diff):
+            a, b = a[:, None], b[None, lo:hi]
+            worse |= np.less(a, b, out=tmp)
+            worse |= np.greater(a, b, out=tmp)
+        dom = np.logical_and(better, ~worse, out=better)
         if exclude_self:
             idx = np.arange(lo, hi)
             dom[idx, idx - lo] = False

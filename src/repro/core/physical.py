@@ -21,9 +21,10 @@ Four executable algorithms, named as in §6.3 / the performance charts:
 ``select_algorithm`` is Listing 8: the complete path is taken iff the
 query says ``COMPLETE`` or every skyline dimension is non-nullable.
 
-Skyline dimensions may be arbitrary numeric SQL expressions; they are
-materialized into internal ``__sky_d<i>`` double columns for the
-duration of the operator and dropped afterwards.  (Evaluating
+Skyline dimensions may be arbitrary numeric or boolean SQL
+expressions (any other type is rejected when the DataFrame is built);
+they are materialized into internal ``__sky_d<i>`` double columns for
+the duration of the operator and dropped afterwards.  (Evaluating
 dimensions as float64 — NaN for NULL — substitutes the paper's
 per-datatype dispatch; exact for the integer/decimal/boolean
 dimensions used throughout the evaluation.)
@@ -34,6 +35,7 @@ from typing import Iterator, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
+from pyspark.sql.types import BooleanType, NumericType
 
 from . import bnl
 from .dominance import normalize_matrix
@@ -65,18 +67,25 @@ def _dim_cols(spec: SkylineSpec) -> list[str]:
 
 
 def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list[str]]:
-    """Append one double column per skyline dimension expression."""
+    """Append one double column per skyline dimension expression.
+
+    Raises ``ValueError`` when the DataFrame is built, not when it runs,
+    if a dimension is neither numeric nor boolean: its values have no
+    double representation for the kernels to compare.
+    """
     for c in df.columns:
         if c.startswith(_DIM_PREFIX):
             raise ValueError(f"input column {c!r} collides with internal skyline columns")
     cols = _dim_cols(spec)
-    out = df.select(
-        "*",
-        *[
-            F.expr(d.expr).cast("double").alias(c)
-            for d, c in zip(spec.dimensions, cols)
-        ],
-    )
+    exprs = [F.expr(d.expr) for d in spec.dimensions]
+    types = df.select(*[e.alias(c) for e, c in zip(exprs, cols)]).schema
+    for d, field in zip(spec.dimensions, types.fields):
+        if not isinstance(field.dataType, (NumericType, BooleanType)):
+            raise ValueError(
+                f"skyline dimension {d.sql()!r} has type {field.dataType.simpleString()}; "
+                "only numeric and boolean dimensions are supported"
+            )
+    out = df.select("*", *[e.cast("double").alias(c) for e, c in zip(exprs, cols)])
     return out, cols
 
 

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.api import sdiff, skyline, smax, smin
-from repro.core.physical import compute_skyline
+from repro.core.physical import ALGORITHMS, compute_skyline
 from repro.core.spec import spec_of
 
 from tests.helpers import skyline_oracle_pandas
@@ -100,3 +100,29 @@ class TestSkylineApi:
         exp = skyline_oracle_pandas(sub, spec_of(smin("price"), smax("rating")),
                                     incomplete=False)
         assert sorted(out["id"]) == sorted(exp["id"])
+
+
+@pytest.fixture(scope="module")
+def cities(spark):
+    pdf = pd.DataFrame({"city": ["Rome", "Oslo", "Rome"], "price": [1.0, 2.0, 3.0],
+                        "pool": [False, True, True]})
+    return spark.createDataFrame(pdf)
+
+
+class TestDimensionTypes:
+    # skyline() only builds a DataFrame; nothing runs until an action.
+    # So an error raised inside these calls comes at plan time, not
+    # from a Python worker at collect().
+
+    @pytest.mark.parametrize("algorithm", [None, *ALGORITHMS])
+    def test_string_dimension_rejected_when_built(self, cities, algorithm):
+        with pytest.raises(ValueError, match="'city DIFF' has type string"):
+            skyline(cities, sdiff("city"), smin("price"), algorithm=algorithm)
+
+    def test_string_dimension_rejected_single_dim(self, cities):
+        with pytest.raises(ValueError, match="'city MIN' has type string"):
+            skyline(cities, smin("city"))
+
+    def test_boolean_dimension_accepted(self, cities):
+        out = skyline(cities, smax("pool"), smin("price")).toPandas()
+        assert sorted(out["price"]) == [1.0, 2.0]

@@ -86,6 +86,37 @@ def test_bnl_with_diff_matches_naive(d, j, n, seed):
     )
 
 
+_SIGNED_ZERO_AND_INF = np.array([-np.inf, -0.0, 0.0, np.inf])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 2, 5, 17]),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 200),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+def test_block_bnl_matches_naive(chunk, d, j, n, seed, specials):
+    """Small blocks over up to 200 tie-heavy rows: every block step runs many times.
+
+    ``j`` DIFF columns (none when 0); with ``specials`` about a third of
+    the values become -inf, -0.0, +0.0 or +inf (-0.0 equals +0.0).
+    """
+    rng = np.random.default_rng(seed)
+    mm = rng.integers(0, 3, size=(n, d)).astype(float)
+    diff = rng.integers(0, 2, size=(n, j)).astype(float) if j else None
+    if specials:
+        for x in (mm,) if diff is None else (mm, diff):
+            hit = rng.random(x.shape) < 0.3
+            x[hit] = rng.choice(_SIGNED_ZERO_AND_INF, size=int(hit.sum()))
+    np.testing.assert_array_equal(
+        bnl.bnl_skyline_mask(mm, diff, chunk=chunk),
+        bnl.naive_skyline_mask(mm, diff, incomplete=False),
+    )
+
+
 class TestIncompleteLocal:
     def test_groups_by_bitmap(self):
         # Two bitmap groups; dominance only inside a group.
@@ -153,15 +184,20 @@ class TestIncompleteGlobal:
         )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 40), st.integers(0, 10_000))
-def test_incomplete_global_matches_naive(d, n, seed):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 40), st.integers(0, 10_000))
+def test_incomplete_global_matches_naive(d, j, n, seed):
+    """``j`` DIFF columns (none when 0), NULL in about 30% of every matrix."""
     rng = np.random.default_rng(seed)
     mm = rng.integers(0, 4, size=(n, d)).astype(float)
     mm[rng.random((n, d)) < 0.3] = np.nan
+    diff = None
+    if j:
+        diff = rng.integers(0, 2, size=(n, j)).astype(float)
+        diff[rng.random((n, j)) < 0.3] = np.nan
     np.testing.assert_array_equal(
-        bnl.incomplete_global_skyline_mask(mm, None),
-        bnl.naive_skyline_mask(mm, None, incomplete=True),
+        bnl.incomplete_global_skyline_mask(mm, diff),
+        bnl.naive_skyline_mask(mm, diff, incomplete=True),
     )
 
 
