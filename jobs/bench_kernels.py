@@ -1,14 +1,14 @@
 """Microbenchmark of the NumPy skyline kernels on fixed synthetic matrices.
 
 Usage:
-    python jobs/bench_kernels.py [--label change] [--repeats 3] [--out BENCH_kernels.json]
+    python jobs/bench_kernels.py [--label change] [--out BENCH_kernels.json]
 
 Times ``dominance.dominated_mask_complete``, ``bnl.bnl_skyline_mask``
 and ``bnl.incomplete_global_skyline_mask`` on seeded matrices (no
 Spark).  Each case reports the minimum and median wall-clock over
-``--repeats`` runs and the number of rows its mask selects, so two
-checkouts can be checked for identical answers as well as compared
-for speed.  The results are merged into ``--out`` under ``--label``:
+``REPEATS`` runs on matrices drawn with ``SEED``, and the number of
+rows its mask selects, so two checkouts can be checked for identical
+answers as well as compared for speed.  The results are merged into ``--out`` under ``--label``:
 run the script once from each checkout with its own label and the
 same output file to get both sets of numbers side by side.
 """
@@ -26,6 +26,9 @@ import numpy as np
 
 from repro.core import bnl
 from repro.core import dominance as dm
+
+REPEATS = 3
+SEED = 1
 
 
 def _complete_kernel(rng: np.random.Generator) -> Callable[[], np.ndarray]:
@@ -60,12 +63,12 @@ CASES = {
 }
 
 
-def run_cases(repeats: int, seed: int) -> dict:
+def run_cases() -> dict:
     out = {}
     for name, build in CASES.items():
-        fn = build(np.random.default_rng(seed))
+        fn = build(np.random.default_rng(SEED))
         secs = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             mask = fn()
             secs.append(time.perf_counter() - t0)
@@ -82,8 +85,6 @@ def run_cases(repeats: int, seed: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", default="current")
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="BENCH_kernels.json")
     args = ap.parse_args()
 
@@ -95,9 +96,9 @@ def main() -> None:
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "repeats": args.repeats,
-        "seed": args.seed,
-        "cases": run_cases(args.repeats, args.seed),
+        "repeats": REPEATS,
+        "seed": SEED,
+        "cases": run_cases(),
     }
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

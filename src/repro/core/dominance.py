@@ -121,39 +121,15 @@ def dominated_mask_complete(mm: np.ndarray, diff: np.ndarray | None,
                             cand_mm: np.ndarray, cand_diff: np.ndarray | None) -> np.ndarray:
     """Boolean mask over ``cand``: candidate i is dominated by some row of the set.
 
-    The batch-elimination primitive of the block BNL in bnl.py.  For
-    each block of candidates the Definition-3.1 test is folded one
-    dimension at a time into 2-D ``(n_set, block)`` accumulators::
-
-        le  = AND_j  set[:, j] <= cand[:, j]
-        eq  = AND_j  set[:, j] == cand[:, j]
-        dom = le & ~eq  [& AND_j set_diff[:, j] == cand_diff[:, j]]
-
-    ``le & ~eq`` is "no worse everywhere and not equal everywhere",
-    i.e. "no worse everywhere and strictly better somewhere".  No
-    ``(n_set, block, k)`` temporary is built; peak memory is a few
-    ``(n_set, block)`` boolean arrays (see :func:`_cand_blocks`).
+    The batch-elimination primitive of the block BNL in bnl.py.  It is
+    :func:`dominated_mask_incomplete` without ``exclude_self``: on
+    NaN-free input the null-aware fold ``better & ~worse`` *is*
+    Definition 3.1 ("no worse everywhere and strictly better
+    somewhere"), and ``~(a < b | a > b)`` is ``a == b`` on DIFF
+    columns, so one fold serves both semantics.  The complete callers
+    never pass NaN (``bnl.bnl_skyline_mask`` rejects it).
     """
-    _check_pair_shapes(mm, diff)
-    n_set = mm.shape[0]
-    n_cand = cand_mm.shape[0]
-    out = np.zeros(n_cand, dtype=bool)
-    if n_set == 0 or n_cand == 0:
-        return out
-    s_mm, c_mm = _columns(mm), _columns(cand_mm)
-    s_diff, c_diff = _columns(diff), _columns(cand_diff)
-    for lo, hi in _cand_blocks(n_set, n_cand):
-        shape = (n_set, hi - lo)
-        le, eq, tmp = np.ones(shape, bool), np.ones(shape, bool), np.empty(shape, bool)
-        for a, b in zip(s_mm, c_mm):
-            a, b = a[:, None], b[None, lo:hi]
-            le &= np.less_equal(a, b, out=tmp)
-            eq &= np.equal(a, b, out=tmp)
-        dom = np.logical_and(le, ~eq, out=le)
-        for a, b in zip(s_diff, c_diff):
-            dom &= np.equal(a[:, None], b[None, lo:hi], out=tmp)
-        out[lo:hi] = dom.any(axis=0)
-    return out
+    return dominated_mask_incomplete(mm, diff, cand_mm, cand_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +172,11 @@ def dominated_mask_incomplete(mm: np.ndarray, diff: np.ndarray | None,
                               *, exclude_self: bool = False) -> np.ndarray:
     """Null-aware batch mask: candidate i dominated by some row of the set.
 
-    The same per-dimension fold as :func:`dominated_mask_complete`,
-    written so that a NaN on either side drops out of the test: every
-    comparison with NaN is False, so ::
+    The one batch dominance kernel.  For each block of candidates the
+    test is folded one dimension at a time into 2-D ``(n_set, block)``
+    accumulators, with no ``(n_set, block, k)`` temporary (peak memory
+    is a few ``(n_set, block)`` boolean arrays, see
+    :func:`_cand_blocks`).  Every comparison with NaN is False, so ::
 
         worse  = OR_j  set[:, j] > cand[:, j]
                  OR_j  set_diff[:, j] < cand_diff[:, j] | set_diff[:, j] > cand_diff[:, j]

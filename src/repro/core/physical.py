@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import BooleanType, NumericType
+from pyspark.sql.types import BooleanType, NumericType, TimestampType
 
 from . import bnl
 from .dominance import normalize_matrix
@@ -70,8 +70,10 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
     """Append one double column per skyline dimension expression.
 
     Raises ``ValueError`` when the DataFrame is built, not when it runs,
-    if a dimension is neither numeric nor boolean: its values have no
-    double representation for the kernels to compare.
+    if a dimension is not numeric, boolean or timestamp: its values
+    have no double representation for the kernels to compare.  A
+    timestamp casts to its epoch seconds, which keep microseconds
+    exactly in float64 for present-day values.
     """
     for c in df.columns:
         if c.startswith(_DIM_PREFIX):
@@ -80,10 +82,10 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
     exprs = [F.expr(d.expr) for d in spec.dimensions]
     types = df.select(*[e.alias(c) for e, c in zip(exprs, cols)]).schema
     for d, field in zip(spec.dimensions, types.fields):
-        if not isinstance(field.dataType, (NumericType, BooleanType)):
+        if not isinstance(field.dataType, (NumericType, BooleanType, TimestampType)):
             raise ValueError(
                 f"skyline dimension {d.sql()!r} has type {field.dataType.simpleString()}; "
-                "only numeric and boolean dimensions are supported"
+                "only numeric, boolean and timestamp dimensions are supported"
             )
     out = df.select("*", *[e.cast("double").alias(c) for e, c in zip(exprs, cols)])
     return out, cols

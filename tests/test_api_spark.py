@@ -1,4 +1,6 @@
 """DataFrame-API tests (repro.api) — the §5.8 user interface."""
+import datetime
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -105,7 +107,8 @@ class TestSkylineApi:
 @pytest.fixture(scope="module")
 def cities(spark):
     pdf = pd.DataFrame({"city": ["Rome", "Oslo", "Rome"], "price": [1.0, 2.0, 3.0],
-                        "pool": [False, True, True]})
+                        "pool": [False, True, True],
+                        "opened": [datetime.date(2024, 5, d) for d in (1, 2, 3)]})
     return spark.createDataFrame(pdf)
 
 
@@ -119,10 +122,25 @@ class TestDimensionTypes:
         with pytest.raises(ValueError, match="'city DIFF' has type string"):
             skyline(cities, sdiff("city"), smin("price"), algorithm=algorithm)
 
-    def test_string_dimension_rejected_single_dim(self, cities):
-        with pytest.raises(ValueError, match="'city MIN' has type string"):
-            skyline(cities, smin("city"))
+    @pytest.mark.parametrize("col,type_name", [("city", "string"), ("opened", "date")])
+    def test_unsupported_dimension_rejected_single_dim(self, cities, col, type_name):
+        with pytest.raises(ValueError, match=f"'{col} MIN' has type {type_name}"):
+            skyline(cities, smin(col))
 
     def test_boolean_dimension_accepted(self, cities):
         out = skyline(cities, smax("pool"), smin("price")).toPandas()
         assert sorted(out["price"]) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("algorithm", [None, *ALGORITHMS])
+    def test_timestamp_dimension_exact_to_the_microsecond(self, spark, algorithm):
+        # Row 3 is beaten by row 1 only through a 1 us later timestamp,
+        # so merging neighbouring microseconds would keep it.
+        pdf = pd.DataFrame({
+            "id": [0, 1, 2, 3],
+            "ts": pd.to_datetime(["2024-05-01 10:00:00.000001", "2024-05-01 10:00:00.000002",
+                                  "2024-05-01 10:00:00.000002", "2024-05-01 10:00:00.000003"]),
+            "price": [2.0, 1.0, 3.0, 1.0],
+        })
+        df = spark.createDataFrame(pdf)
+        out = skyline(df, smin("ts"), smin("price"), algorithm=algorithm).toPandas()
+        assert sorted(out["id"]) == [0, 1]

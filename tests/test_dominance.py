@@ -141,18 +141,6 @@ class TestIncompleteKernels:
             expected = dm.any_dominates_incomplete(mm[others], None, mm[i], None)
             assert mask[i] == expected, i
 
-    def test_mask_with_null_diff_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        mm = rng.integers(0, 3, size=(60, 2)).astype(float)
-        diff = rng.integers(0, 2, size=(60, 2)).astype(float)
-        mm[rng.random(mm.shape) < 0.2] = np.nan
-        diff[rng.random(diff.shape) < 0.3] = np.nan
-        mask = dm.dominated_mask_incomplete(mm, diff, mm, diff, exclude_self=True)
-        for i in range(60):
-            others = np.arange(60) != i
-            expected = dm.any_dominates_incomplete(mm[others], diff[others], mm[i], diff[i])
-            assert mask[i] == expected, i
-
 
 @settings(max_examples=40, deadline=None)
 @given(
