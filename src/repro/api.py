@@ -37,4 +37,4 @@ def skyline(df: DataFrame, *dims: SkylineDimension,
     root = optimizer.optimize(
         P.Skyline(P.Relation(df), spec, algorithm=algorithm, parallelism=parallelism)
     )
-    return P.execute(root, df.sparkSession)
+    return P.execute(root)

@@ -27,8 +27,6 @@ from typing import Optional
 from pyspark.sql import DataFrame, SparkSession
 
 from ..api import skyline
-from ..core.physical import reference_skyline_df
-from ..core.spec import SkylineSpec
 from ..data import airbnb, airbnb_dims, store_sales, store_sales_dims
 
 __all__ = ["TIMEOUT_SECONDS", "timed_action", "run_cell", "input_df", "clear_cache"]
@@ -99,17 +97,15 @@ def build_cell_df(spark: SparkSession, *, dataset: str, complete: bool,
     """Construct the (lazy) result DataFrame for one cell."""
     df = input_df(spark, dataset, n=n, complete=complete)
     dim_list = airbnb_dims(dims) if dataset == "airbnb" else store_sales_dims(dims)
-    spec = SkylineSpec(tuple(dim_list), complete=complete)
     if algorithm == "reference":
         # The baseline gets no skyline-specific planning; its
-        # parallelism comes from the input partitioning.  It is the
-        # paper's literal Listing-4 rewrite (plain SQL three-valued
-        # semantics, null_aware=False): on incomplete data this is the
-        # formulation a user would actually write — and the one whose
-        # ~n² cost the paper's reference rows exhibit.  The null-aware
-        # variant exists for correctness comparisons (tests).
-        return reference_skyline_df(df.repartition(executors), spec,
-                                    null_aware=False)
+        # parallelism comes from the input partitioning.  COMPLETE makes
+        # it the paper's literal Listing-4 rewrite under SQL three-valued
+        # semantics: on incomplete data this is the formulation a user
+        # would actually write, and the one whose ~n² cost the paper's
+        # reference rows exhibit.
+        return skyline(df.repartition(executors), *dim_list, complete=True,
+                       algorithm="reference")
     return skyline(df, *dim_list, complete=complete,
                    algorithm=algorithm, parallelism=executors)
 

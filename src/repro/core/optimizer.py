@@ -9,10 +9,10 @@ plain function ``LogicalPlan -> LogicalPlan`` applied bottom-up via
 dimension is the plain optimum of that dimension.  Rather than
 sorting (O(n log n)) the paper picks the scalar-subquery-and-select
 formulation (O(n)); we rewrite to :class:`plan.SingleDimSkyline`
-which executes exactly that.  Under incomplete (null-aware)
-semantics NULL rows are additionally kept — with one dimension a
-NULL tuple shares no non-NULL dimension with anyone, hence is
-incomparable and belongs to the skyline.
+which executes exactly that.  Without COMPLETE, NULL rows are
+additionally kept — with one dimension a NULL tuple shares no
+non-NULL dimension with anyone, hence is incomparable and belongs to
+the skyline.
 
 The paper's second rule, pushing a skyline below a non-reductive join,
 is not implemented: both entry points hand the skyline an opaque base
@@ -40,10 +40,7 @@ class SingleDimensionRewrite:
         spec = node.spec
         if len(spec.minmax_dims) != 1 or spec.diff_dims:
             return node
-        # Complete semantics apply when the user asserted COMPLETE; the
-        # null-aware variant is correct (and identical) on complete
-        # data, so it is the safe default otherwise.
-        return P.SingleDimSkyline(node.child, spec, null_aware=not spec.complete)
+        return P.SingleDimSkyline(node.child, spec)
 
 
 def optimize(root: P.LogicalPlan) -> P.LogicalPlan:

@@ -15,13 +15,13 @@ Four executable algorithms, named as in §6.3 / the performance charts:
   BNL per bitmap group, then the all-pairs flag-then-delete global
   phase (Appendix A).
 * ``reference``                — the Listing-4 plain-SQL ``NOT EXISTS``
-  rewrite executed by the unmodified engine (null-aware variant for
-  incomplete semantics).
+  rewrite executed by the unmodified engine (the null-aware variant
+  unless the query says ``COMPLETE``).
 
 ``select_algorithm`` is Listing 8: the complete path is taken iff the
 query says ``COMPLETE`` or every skyline dimension is non-nullable.
 
-Skyline dimensions may be arbitrary numeric or boolean SQL
+Skyline dimensions may be arbitrary numeric, boolean or timestamp SQL
 expressions (any other type is rejected when the DataFrame is built);
 they are materialized into internal ``__sky_d<i>`` double columns for
 the duration of the operator and dropped afterwards.  (Evaluating
@@ -49,7 +49,6 @@ __all__ = [
     "check_algorithm",
     "listing4_sql",
     "reference_skyline",
-    "reference_skyline_df",
 ]
 
 ALGORITHMS = (
@@ -66,8 +65,12 @@ def _dim_cols(spec: SkylineSpec) -> list[str]:
     return [f"{_DIM_PREFIX}{i}" for i in range(len(spec.dimensions))]
 
 
-def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list[str]]:
+def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list[str], bool]:
     """Append one double column per skyline dimension expression.
+
+    Returns the extended DataFrame, the names of the appended columns,
+    and whether any dimension is nullable as Catalyst derives it for
+    the expression over ``df``'s output (Listing 8's input).
 
     Raises ``ValueError`` when the DataFrame is built, not when it runs,
     if a dimension is not numeric, boolean or timestamp: its values
@@ -80,15 +83,15 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
             raise ValueError(f"input column {c!r} collides with internal skyline columns")
     cols = _dim_cols(spec)
     exprs = [F.expr(d.expr) for d in spec.dimensions]
-    types = df.select(*[e.alias(c) for e, c in zip(exprs, cols)]).schema
-    for d, field in zip(spec.dimensions, types.fields):
+    fields = df.select(*[e.alias(c) for e, c in zip(exprs, cols)]).schema.fields
+    for d, field in zip(spec.dimensions, fields):
         if not isinstance(field.dataType, (NumericType, BooleanType, TimestampType)):
             raise ValueError(
                 f"skyline dimension {d.sql()!r} has type {field.dataType.simpleString()}; "
                 "only numeric, boolean and timestamp dimensions are supported"
             )
     out = df.select("*", *[e.cast("double").alias(c) for e, c in zip(exprs, cols)])
-    return out, cols
+    return out, cols, any(f.nullable for f in fields)
 
 
 def check_algorithm(algorithm: Optional[str]) -> None:
@@ -97,21 +100,14 @@ def check_algorithm(algorithm: Optional[str]) -> None:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def select_algorithm(spec: SkylineSpec, df: DataFrame) -> str:
-    """Listing 8: complete algorithm iff COMPLETE keyword or non-nullable dims.
+def select_algorithm(spec: SkylineSpec, nullable: bool) -> str:
+    """Listing 8: complete algorithm iff COMPLETE keyword or no nullable dim.
 
-    Nullability is only statically known for dimensions that are plain
-    columns; any computed expression is conservatively nullable
-    (matching Spark, where expression nullability is derived and
-    usually nullable).
+    ``nullable`` is what :func:`_materialize_dims` reads off the
+    analyzed dimension expressions: Catalyst's derived nullability, so
+    ``v + 1`` over a non-nullable ``v`` counts as non-nullable.
     """
-    if spec.complete:
-        return "distributed_complete"
-    nullable_by_name = {f.name: f.nullable for f in df.schema.fields}
-    if all(
-        d.is_simple_column and nullable_by_name.get(d.expr) is False
-        for d in spec.dimensions
-    ):
+    if spec.complete or not nullable:
         return "distributed_complete"
     return "distributed_incomplete"
 
@@ -127,27 +123,16 @@ def _concat_partition(batches: Iterator[pd.DataFrame]) -> Optional[pd.DataFrame]
     return pd.concat(pdfs, ignore_index=True) if len(pdfs) > 1 else pdfs[0]
 
 
-def _make_stage(spec: SkylineSpec, cols: list[str], kind: str):
-    """Build a mapInPandas function computing a per-partition skyline.
-
-    ``kind``: "complete" (BNL window), "incomplete_local" (bitmap
-    groups), or "incomplete_global" (all-pairs flag-then-delete).
-    """
+def _make_stage(spec: SkylineSpec, cols: list[str], mask_fn):
+    """Build a mapInPandas function keeping the rows of a partition that
+    ``mask_fn(mm, diff)`` marks as its skyline."""
 
     def stage(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         pdf = _concat_partition(batches)
         if pdf is None:
             return
         mm, diff = normalize_matrix(pdf, spec, cols)
-        if kind == "complete":
-            mask = bnl.bnl_skyline_mask(mm, diff)
-        elif kind == "incomplete_local":
-            mask = bnl.incomplete_local_skyline_mask(mm, diff)
-        elif kind == "incomplete_global":
-            mask = bnl.incomplete_global_skyline_mask(mm, diff)
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(kind)
-        yield pdf[mask]
+        yield pdf[mask_fn(mm, diff)]
 
     return stage
 
@@ -162,32 +147,36 @@ def _all_tuples(df: DataFrame) -> DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# The four algorithms
+# The three specialized algorithms: (local mask, global mask).  A None
+# local mask skips the local stage (§6.3 item 2: one global BNL).
 # ---------------------------------------------------------------------------
 
-def _distributed_complete(df: DataFrame, spec: SkylineSpec, cols: list[str],
-                          parallelism: Optional[int]) -> DataFrame:
-    if parallelism is not None:
-        df = df.repartition(parallelism)
-    local = df.mapInPandas(_make_stage(spec, cols, "complete"), df.schema)
-    return _all_tuples(local).mapInPandas(_make_stage(spec, cols, "complete"), df.schema)
+_STAGES = {
+    "distributed_complete": (bnl.bnl_skyline_mask, bnl.bnl_skyline_mask),
+    "non_distributed_complete": (None, bnl.bnl_skyline_mask),
+    "distributed_incomplete": (bnl.incomplete_local_skyline_mask,
+                               bnl.incomplete_global_skyline_mask),
+}
 
 
-def _non_distributed_complete(df: DataFrame, spec: SkylineSpec, cols: list[str]) -> DataFrame:
-    # Skips the local stage entirely (§6.3 item 2): one global BNL.
-    return _all_tuples(df).mapInPandas(_make_stage(spec, cols, "complete"), df.schema)
-
-
-def _distributed_incomplete(df: DataFrame, spec: SkylineSpec, cols: list[str],
-                            parallelism: Optional[int]) -> DataFrame:
-    # §5.7: distribution keyed on IsNull() of every skyline dimension,
-    # so each bitmap's tuples land together.  The local stage still
-    # groups by exact bitmap internally, so correctness does not
-    # depend on how hash partitioning buckets the bitmaps.
-    null_keys = [F.isnull(F.col(c)) for c in cols]
-    df = df.repartition(parallelism, *null_keys) if parallelism is not None else df.repartition(*null_keys)
-    local = df.mapInPandas(_make_stage(spec, cols, "incomplete_local"), df.schema)
-    return _all_tuples(local).mapInPandas(_make_stage(spec, cols, "incomplete_global"), df.schema)
+def _local_global(df: DataFrame, spec: SkylineSpec, cols: list[str], algorithm: str,
+                  parallelism: Optional[int]) -> DataFrame:
+    """Local skyline per partition, then the global skyline on one partition."""
+    local_fn, global_fn = _STAGES[algorithm]
+    if local_fn is not None:
+        keys = []
+        if algorithm == "distributed_incomplete":
+            # §5.7: distribution keyed on IsNull() of every skyline dimension,
+            # so each bitmap's tuples land together.  The local stage still
+            # groups by exact bitmap internally, so correctness does not
+            # depend on how hash partitioning buckets the bitmaps.
+            keys = [F.isnull(F.col(c)) for c in cols]
+        if parallelism is not None:
+            df = df.repartition(parallelism, *keys)
+        elif keys:
+            df = df.repartition(*keys)
+        df = df.mapInPandas(_make_stage(spec, cols, local_fn), df.schema)
+    return _all_tuples(df).mapInPandas(_make_stage(spec, cols, global_fn), df.schema)
 
 
 def _dominance_condition(spec: SkylineSpec, cols: Sequence[str], *, null_aware: bool) -> str:
@@ -233,57 +222,44 @@ def listing4_sql(relation: str, spec: SkylineSpec, cols: Sequence[str], *,
     )
 
 
-def reference_skyline(df: DataFrame, spec: SkylineSpec, cols: list[str],
-                      *, null_aware: bool) -> DataFrame:
+def reference_skyline(df: DataFrame, spec: SkylineSpec, cols: list[str]) -> DataFrame:
     """Listing 4 run by the stock engine over ``df``.
+
+    Without COMPLETE the null-aware variant is rendered, which matches
+    the specialized incomplete algorithm.  With COMPLETE it is the
+    paper's literal rewrite under SQL three-valued semantics: a NULL
+    comparison never satisfies the dominance conjuncts, so on data
+    that does hold NULLs every NULL-bearing tuple survives (a superset
+    of the null-aware skyline, at the ~n² cost of the paper's
+    reference rows).
 
     ``spark.sql`` registers ``df`` under a fresh view name for the one
     statement it analyzes and drops the view again, so nothing is left
     in the session catalog.
     """
-    sql = listing4_sql("{df}", spec, cols, null_aware=null_aware)
+    sql = listing4_sql("{df}", spec, cols, null_aware=not spec.complete)
     return df.sparkSession.sql(sql, df=df)
 
 
-def reference_skyline_df(df: DataFrame, spec: SkylineSpec, *,
-                         null_aware: bool) -> DataFrame:
-    """Standalone Listing-4 baseline with explicit NULL semantics.
-
-    ``null_aware=False`` is the paper's literal Listing-4 rewrite under
-    SQL three-valued semantics: a NULL comparison never satisfies the
-    dominance conjuncts, so NULL-bearing tuples are never eliminated —
-    on incomplete data this returns a *superset* of the null-aware
-    skyline and does near-quadratic work (the behaviour of the paper's
-    "reference" measurements, cf. Table 8's ~n² scaling).
-    ``null_aware=True`` emits the IS NULL disjuncts and matches the
-    specialized incomplete algorithm exactly.
-    """
-    work, cols = _materialize_dims(df, spec)
-    out = reference_skyline(work, spec, cols, null_aware=null_aware)
-    if spec.distinct:
-        out = out.dropDuplicates(cols)
-    return out.drop(*cols)
-
-
-def single_dim_skyline(df: DataFrame, spec: SkylineSpec, *, null_aware: bool) -> DataFrame:
+def single_dim_skyline(df: DataFrame, spec: SkylineSpec) -> DataFrame:
     """§5.4 single-MIN/MAX-dimension rewrite: scalar subquery + selection.
 
     The Pareto optimum of one dimension is its optimum.  We compute
     min/max in a scalar aggregate (O(n)) and select the matching rows
-    instead of sorting (O(n log n)).  Under incomplete (null-aware)
-    semantics rows with a NULL dimension are incomparable to
+    instead of sorting (O(n log n)).  Without COMPLETE (null-aware
+    semantics) rows with a NULL dimension are incomparable to
     everything, hence also kept.
     """
     if len(spec.minmax_dims) != 1 or spec.diff_dims:
         raise ValueError("single_dim_skyline requires exactly one MIN/MAX dim and no DIFF dims")
     dim = spec.minmax_dims[0]
-    work, cols = _materialize_dims(df, spec)
+    work, cols, _ = _materialize_dims(df, spec)
     c = cols[0]
     agg_fn = F.min if dim.dim_type is DimType.MIN else F.max
     opt = work.agg(agg_fn(F.col(c)).alias("__sky_opt"))
     joined = work.crossJoin(opt)  # 1-row side: broadcast is disabled session-wide
     cond = F.col(c) == F.col("__sky_opt")
-    if null_aware:
+    if not spec.complete:
         cond = cond | F.col(c).isNull()
     out = joined.where(cond).drop("__sky_opt")
     if spec.distinct:
@@ -304,16 +280,12 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
     ``UnspecifiedDistribution`` default).
     """
     check_algorithm(algorithm)
-    algorithm = algorithm or select_algorithm(spec, df)
-    work, cols = _materialize_dims(df, spec)
-    if algorithm == "distributed_complete":
-        out = _distributed_complete(work, spec, cols, parallelism)
-    elif algorithm == "non_distributed_complete":
-        out = _non_distributed_complete(work, spec, cols)
-    elif algorithm == "distributed_incomplete":
-        out = _distributed_incomplete(work, spec, cols, parallelism)
+    work, cols, nullable = _materialize_dims(df, spec)
+    algorithm = algorithm or select_algorithm(spec, nullable)
+    if algorithm == "reference":
+        out = reference_skyline(work, spec, cols)
     else:
-        out = reference_skyline(work, spec, cols, null_aware=not spec.complete)
+        out = _local_global(work, spec, cols, algorithm, parallelism)
     if spec.distinct:
         out = out.dropDuplicates(cols)
     return out.drop(*cols)

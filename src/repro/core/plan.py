@@ -10,7 +10,7 @@ pattern-match on it, exactly like Catalyst rules do.
 :class:`SingleDimSkyline` is what the single-dimension rule rewrites
 a :class:`Skyline` to.
 
-``execute(plan, ...)`` lowers the tree back to DataFrame operations;
+``execute(plan)`` lowers the tree back to DataFrame operations;
 the Skyline node is lowered by the physical layer (physical.py), which
 performs the paper's Listing-8 algorithm selection.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from . import physical
 from .spec import SkylineSpec
@@ -64,14 +64,10 @@ class SingleDimSkyline(LogicalPlan):
 
     Semantically equivalent to ``Skyline`` over a one-dimensional spec
     but executed as scalar-subquery + selection in O(n).
-    ``null_aware`` keeps NULL rows (they are incomparable to every
-    other tuple when the only dimension is NULL) — used when the
-    incomplete semantics apply.
     """
 
     child: LogicalPlan
     spec: SkylineSpec
-    null_aware: bool = False
 
 
 def transform_up(plan: LogicalPlan, rule) -> LogicalPlan:
@@ -91,19 +87,17 @@ def transform_up(plan: LogicalPlan, rule) -> LogicalPlan:
     return rule(plan)
 
 
-def execute(plan: LogicalPlan, spark: SparkSession) -> DataFrame:
+def execute(plan: LogicalPlan) -> DataFrame:
     """Lower a logical plan to a DataFrame (physical planning + execution)."""
     if isinstance(plan, Relation):
         return plan.df
     if isinstance(plan, Skyline):
         return physical.compute_skyline(
-            execute(plan.child, spark),
+            execute(plan.child),
             plan.spec,
             algorithm=plan.algorithm,
             parallelism=plan.parallelism,
         )
     if isinstance(plan, SingleDimSkyline):
-        return physical.single_dim_skyline(
-            execute(plan.child, spark), plan.spec, null_aware=plan.null_aware
-        )
+        return physical.single_dim_skyline(execute(plan.child), plan.spec)
     raise TypeError(f"unknown plan node {plan!r}")

@@ -13,7 +13,6 @@ dimensions plus the DISTINCT / COMPLETE flags.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 
 
@@ -28,9 +27,6 @@ class DimType(enum.Enum):
     MIN = "MIN"
     MAX = "MAX"
     DIFF = "DIFF"
-
-
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 @dataclass(frozen=True)
@@ -51,11 +47,6 @@ class SkylineDimension:
         if not isinstance(self.dim_type, DimType):
             raise TypeError(f"dim_type must be DimType, got {self.dim_type!r}")
         object.__setattr__(self, "expr", self.expr.strip())
-
-    @property
-    def is_simple_column(self) -> bool:
-        """True if the expression is a bare (unqualified) identifier."""
-        return bool(_IDENT_RE.match(self.expr))
 
     def sql(self) -> str:
         """Render back to the extended-SQL item syntax, e.g. ``price MIN``."""

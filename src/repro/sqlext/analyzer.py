@@ -13,24 +13,19 @@ the paper makes inside Catalyst: *extend the child's output with the
 missing expressions, compute the skyline over the extended output,
 then re-project to the original output* (Listing 6, lines 10-12).
 
-Resolution strategy per dimension expression:
+A dimension with no aggregate whose column identifiers are all
+output columns of the base query is left as written: the physical
+layer evaluates it over the base output.  Every other dimension is
+spliced into the base query's top-level select list as
+``, (expr) AS __sky_eN`` and Catalyst analyzes the result — this
+covers missing source columns and missing aggregates (Spark injects
+the aggregate into the Aggregate node when analyzing the modified
+query, exactly the effect of Listing 7).
 
-1. If it already names an output column of the base query → resolved.
-2. Else try wrapping: ``SELECT *, (expr) AS __sky_eN FROM (base)`` —
-   covers expressions over projected columns.
-3. Else splice ``, (expr) AS __sky_eN`` into the base query's
-   top-level select list and let Catalyst analyze the result — covers
-   missing source columns and missing aggregates (Spark injects the
-   aggregate into the Aggregate node when analyzing the modified
-   query, exactly the effect of Listing 7).
-
-The choice between 2 and 3 must be made *before* analysis, not by
-trying: wrapping an aggregate expression such as ``count(*)`` would
-analyze successfully but aggregate over the wrong scope (the base
-query's result instead of its groups).  An expression containing an
-aggregate function therefore always takes the inject path (the
-Listing-7 case); a non-aggregate expression takes the wrap path only
-when all of its column identifiers are base-output columns.
+An expression containing an aggregate function is always spliced,
+whatever its identifiers: evaluated over the base output, ``count(*)``
+would aggregate the base query's result instead of its groups.  The
+test is made on the text, before analysis.
 
 Spark's own Appendix-B bug (Sort on aggregates with HAVING) cannot
 bite here because the helper expressions become ordinary select items
@@ -97,7 +92,8 @@ class ResolvedSkylineQuery:
     """Outcome of analysis: a base query whose output covers every dimension.
 
     ``base_sql`` may differ from the input (helper columns appended);
-    ``spec`` has every dimension rewritten to a plain output column;
+    ``spec`` names each spliced dimension by its helper column and keeps
+    the others as written;
     ``final_columns`` is the original output to re-project to after the
     skyline (empty tuple = no re-projection needed).
     """
@@ -133,61 +129,31 @@ def inject_select_items(base_sql: str, items: list[str]) -> str:
 
 
 def resolve(spark: SparkSession, base_sql: str, spec: SkylineSpec) -> ResolvedSkylineQuery:
-    """Resolve every skyline dimension against (a possibly extended) base query."""
+    """Splice the dimensions the base query's output cannot evaluate into it."""
     base_cols = list(spark.sql(base_sql).columns)  # analysis only; no job runs
-    lower = {c.lower(): c for c in base_cols}
-
-    missing: list[SkylineDimension] = []
-    resolved_exprs: dict[SkylineDimension, str] = {}
-    for d in spec.dimensions:
-        hit = lower.get(d.expr.lower()) if d.is_simple_column else None
-        if hit is not None:
-            resolved_exprs[d] = hit
-        else:
-            missing.append(d)
-    if not missing:
-        new_dims = tuple(
-            SkylineDimension(resolved_exprs[d], d.dim_type) for d in spec.dimensions
-        )
-        return ResolvedSkylineQuery(
-            base_sql,
-            SkylineSpec(new_dims, distinct=spec.distinct, complete=spec.complete),
-            (),
-        )
-
-    helper_items = [
-        f"({d.expr}) AS {_HELPER_PREFIX}{i}" for i, d in enumerate(missing)
+    base_lower = {c.lower() for c in base_cols}
+    missing = [
+        d for d in spec.dimensions
+        if _contains_aggregate(d.expr) or not _column_identifiers(d.expr) <= base_lower
     ]
-    helper_names = {d: f"{_HELPER_PREFIX}{i}" for i, d in enumerate(missing)}
+    if not missing:
+        return ResolvedSkylineQuery(base_sql, spec, ())
 
-    # Wrap is only sound for non-aggregate expressions fully covered by
-    # the base output; a single dimension needing inject sends all
-    # missing dimensions down the inject path (one rewritten base).
-    base_cols_lower = set(lower)
-    wrappable = all(
-        not _contains_aggregate(d.expr)
-        and _column_identifiers(d.expr) <= base_cols_lower
-        for d in missing
+    helper_names = {d: f"{_HELPER_PREFIX}{i}" for i, d in enumerate(missing)}
+    # Listing 6/7 analogue: extend the base query's own select list.
+    new_base = inject_select_items(
+        base_sql, [f"({d.expr}) AS {name}" for d, name in helper_names.items()]
     )
-    if wrappable:
-        new_base = (
-            "SELECT *, " + ", ".join(helper_items) + f" FROM ({base_sql}) __sky_base"
-        )
-        spark.sql(new_base).schema  # surface analysis errors eagerly
-    else:
-        # Listing 6/7 analogue: extend the base query's own select list.
-        new_base = inject_select_items(base_sql, helper_items)
-        try:
-            spark.sql(new_base).schema
-        except AnalysisException as exc:
-            raise SkylineParseError(
-                f"cannot resolve skyline dimension(s) {[d.expr for d in missing]} "
-                f"against the base query: {exc}"
-            ) from exc
+    try:
+        spark.sql(new_base).schema
+    except AnalysisException as exc:
+        raise SkylineParseError(
+            f"cannot resolve skyline dimension(s) {[d.expr for d in missing]} "
+            f"against the base query: {exc}"
+        ) from exc
 
     new_dims = tuple(
-        SkylineDimension(helper_names.get(d, resolved_exprs.get(d, d.expr)), d.dim_type)
-        for d in spec.dimensions
+        SkylineDimension(helper_names.get(d, d.expr), d.dim_type) for d in spec.dimensions
     )
     return ResolvedSkylineQuery(
         new_base,

@@ -42,7 +42,7 @@ def sky_sql(spark: SparkSession, query: str, *,
         P.Relation(spark.sql(resolved.base_sql)), resolved.spec,
         algorithm=algorithm, parallelism=parallelism,
     ))
-    out = P.execute(root, spark)
+    out = P.execute(root)
     if resolved.final_columns:
         out = out.select(*resolved.final_columns)
 

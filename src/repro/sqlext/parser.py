@@ -190,8 +190,8 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
             raise SkylineParseError("empty ORDER BY list")
         order_by = query[tokens[ob_start].start : tokens[k - 1].end].strip()
     if k < len(tokens) and tokens[k].upper == "LIMIT":
-        if k + 1 >= len(tokens) or tokens[k + 1].kind != "number":
-            raise SkylineParseError("expected a number after LIMIT")
+        if k + 1 >= len(tokens) or not tokens[k + 1].text.isdigit():
+            raise SkylineParseError("expected an integer after LIMIT")
         limit = int(tokens[k + 1].text)
         k += 2
     if k < len(tokens):

@@ -10,6 +10,7 @@ from repro.bench.report import render_table, results_to_json
 from repro.bench.tables import (
     COMPLETE_ALGOS, INCOMPLETE_ALGOS, SS_SCALE, TABLES, table_def,
 )
+from repro.core import physical
 
 
 class TestTableDefs:
@@ -115,6 +116,25 @@ class TestHarness:
             executors=2, algorithm="distributed_incomplete",
         ).count()
         assert ref >= spec_cnt > 0
+
+    def test_incomplete_reference_renders_three_valued_listing4(self, spark, monkeypatch):
+        # The reference cell is the paper's literal NOT EXISTS text: no
+        # IS NULL disjuncts, even on the incomplete table.
+        rendered = []
+        listing4 = physical.listing4_sql
+
+        def spy(*args, **kwargs):
+            rendered.append(listing4(*args, **kwargs))
+            return rendered[-1]
+
+        monkeypatch.setattr(physical, "listing4_sql", spy)
+        build_cell_df(spark, dataset="airbnb", complete=False, dims=2, n=500,
+                      executors=2, algorithm="reference")
+        assert rendered == [
+            "SELECT * FROM {df} AS o WHERE NOT EXISTS (SELECT 1 FROM {df} AS i WHERE "
+            "(i.__sky_d0 <= o.__sky_d0) AND (i.__sky_d1 >= o.__sky_d1) AND "
+            "((i.__sky_d0 < o.__sky_d0) OR (i.__sky_d1 > o.__sky_d1)))"
+        ]
 
     def test_run_cell_returns_time(self, spark):
         secs = run_cell(

@@ -11,13 +11,12 @@ class TestSingleDimensionRewrite:
     def test_rewrites_single_min(self):
         node = P.Skyline(rel("a"), spec_of(smin("a")))
         out = self.rule(node)
-        assert isinstance(out, P.SingleDimSkyline)
-        assert out.null_aware  # no COMPLETE keyword -> null-aware variant
+        assert isinstance(out, P.SingleDimSkyline) and out.spec is node.spec
 
     def test_complete_spec_uses_plain_variant(self):
         node = P.Skyline(rel("a"), spec_of(smin("a"), complete=True))
         out = self.rule(node)
-        assert isinstance(out, P.SingleDimSkyline) and not out.null_aware
+        assert isinstance(out, P.SingleDimSkyline) and out.spec.complete
 
     def test_single_max_rewritten(self):
         out = self.rule(P.Skyline(rel("a"), spec_of(smax("a"))))

@@ -39,39 +39,38 @@ class TestSingleDimPhysical:
     def test_min_selects_minimum(self, spark):
         pdf = pd.DataFrame({"id": range(50), "v": (np.arange(50) % 7).astype(float)})
         df = spark.createDataFrame(pdf)
-        out = single_dim_skyline(df, spec_of(smin("v")), null_aware=False).toPandas()
+        out = single_dim_skyline(df, spec_of(smin("v"), complete=True)).toPandas()
         assert set(out["v"]) == {0.0} and len(out) == (pdf.v == 0).sum()
 
     def test_max_selects_maximum(self, spark):
         pdf = pd.DataFrame({"id": range(50), "v": (np.arange(50) % 7).astype(float)})
         df = spark.createDataFrame(pdf)
-        out = single_dim_skyline(df, spec_of(smax("v")), null_aware=False).toPandas()
+        out = single_dim_skyline(df, spec_of(smax("v"), complete=True)).toPandas()
         assert set(out["v"]) == {6.0}
 
     def test_null_aware_keeps_null_rows(self, spark):
         pdf = pd.DataFrame({"id": range(6), "v": [3.0, 1.0, None, 1.0, None, 2.0]})
         df = spark.createDataFrame(pdf)
-        out = single_dim_skyline(df, spec_of(smin("v")), null_aware=True).toPandas()
+        out = single_dim_skyline(df, spec_of(smin("v"))).toPandas()
         # min rows (two 1.0s) + NULL rows (incomparable) survive.
         assert sorted(out["id"]) == [1, 2, 3, 4]
 
     def test_plain_variant_drops_null_rows(self, spark):
         pdf = pd.DataFrame({"id": range(4), "v": [3.0, 1.0, None, 1.0]})
         df = spark.createDataFrame(pdf)
-        out = single_dim_skyline(df, spec_of(smin("v")), null_aware=False).toPandas()
+        out = single_dim_skyline(df, spec_of(smin("v"), complete=True)).toPandas()
         assert sorted(out["id"]) == [1, 3]
 
     def test_distinct(self, spark):
         pdf = pd.DataFrame({"id": range(6), "v": [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]})
         df = spark.createDataFrame(pdf)
-        out = single_dim_skyline(df, spec_of(smin("v"), distinct=True),
-                                 null_aware=False).toPandas()
+        out = single_dim_skyline(df, spec_of(smin("v"), distinct=True, complete=True)).toPandas()
         assert len(out) == 1 and out["v"].iloc[0] == 1.0
 
     def test_multi_dim_rejected(self, spark):
         df = spark.createDataFrame(pd.DataFrame({"a": [1.0], "b": [2.0]}))
         with pytest.raises(ValueError):
-            single_dim_skyline(df, spec_of(smin("a"), smax("b")), null_aware=False)
+            single_dim_skyline(df, spec_of(smin("a"), smax("b")))
 
     def test_rewrite_equals_generic_algorithm(self, spark):
         rng = np.random.default_rng(8)
@@ -80,8 +79,8 @@ class TestSingleDimPhysical:
         root = P.Skyline(P.Relation(df), spec_of(smin("v"), complete=True))
         optimized = O.optimize(root)
         assert isinstance(optimized, P.SingleDimSkyline)
-        fast = P.execute(optimized, spark).toPandas()
-        slow = P.execute(root, spark).toPandas()
+        fast = P.execute(optimized).toPandas()
+        slow = P.execute(root).toPandas()
         assert sorted(fast["id"]) == sorted(slow["id"])
 
 
@@ -98,5 +97,5 @@ class TestJoinPushdownSemantics:
         exp = skyline_oracle_pandas(
             joined, spec_of(smin("totalprice"), smax("priority")), incomplete=False
         )
-        got = P.execute(out, spark).toPandas()
+        got = P.execute(out).toPandas()
         assert sorted(got["orderkey"]) == sorted(exp["orderkey"])

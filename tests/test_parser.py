@@ -156,6 +156,11 @@ class TestParseErrors:
         with pytest.raises(SkylineParseError):
             parse_skyline_query(q)
 
+    @pytest.mark.parametrize("limit", ["2.5", "1e3"])
+    def test_non_integer_limit(self, limit):
+        with pytest.raises(SkylineParseError, match="expected an integer after LIMIT"):
+            parse_skyline_query(f"SELECT a FROM t SKYLINE OF a MIN LIMIT {limit}")
+
     def test_duplicate_dimensions_rejected(self):
         with pytest.raises(SkylineParseError):
             parse_skyline_query("SELECT a FROM t SKYLINE OF a MIN, a MAX")

@@ -8,9 +8,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.physical import ALGORITHMS, compute_skyline, listing4_sql, select_algorithm
+from repro.api import skyline
+from repro.core import physical
+from repro.core.physical import ALGORITHMS, compute_skyline, listing4_sql
 from repro.core.spec import SkylineSpec, sdiff, smax, smin, spec_of
 from repro.oracle import assert_equivalent
+from repro.sqlext import sky_sql
 
 from tests.helpers import assert_skyline_equals_oracle, skyline_oracle_pandas
 
@@ -187,25 +190,66 @@ class TestIncompleteAlgorithm:
             compute_skyline(df, spec, algorithm="distributed_complete").count()
 
 
+@pytest.fixture
+def chosen(monkeypatch):
+    """Every algorithm Listing 8 picks while the test builds skylines."""
+    picks = []
+    select = physical.select_algorithm
+
+    def spy(*args):
+        picks.append(select(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(physical, "select_algorithm", spy)
+    return picks
+
+
+@pytest.fixture(scope="module")
+def ranged(spark):
+    """Non-nullable columns only, also registered as the view ``ranged``."""
+    df = spark.range(1000).selectExpr("id", "id * 2 AS v", "1000 - id AS w")
+    df.createOrReplaceTempView("ranged")
+    yield df
+    spark.catalog.dropTempView("ranged")
+
+
 class TestAlgorithmSelection:
     """Listing 8: COMPLETE keyword or non-nullable dims -> complete path."""
 
-    def test_complete_keyword_selects_complete(self, spark):
+    def test_complete_keyword_selects_complete(self, spark, chosen):
         df = spark.createDataFrame(make_pdf(50))  # nullable schema
-        assert select_algorithm(spec_of(smin("a"), complete=True), df) == "distributed_complete"
+        compute_skyline(df, spec_of(smin("a"), complete=True))
+        assert chosen == ["distributed_complete"]
 
-    def test_nullable_schema_selects_incomplete(self, spark):
+    def test_nullable_schema_selects_incomplete(self, spark, chosen):
         df = spark.createDataFrame(make_pdf(51))
-        assert select_algorithm(spec_of(smin("a")), df) == "distributed_incomplete"
+        compute_skyline(df, spec_of(smin("a")))
+        assert chosen == ["distributed_incomplete"]
 
-    def test_non_nullable_schema_selects_complete(self, spark):
-        df = spark.range(100).selectExpr("id", "id * 2 AS v")  # non-nullable
-        assert not df.schema["v"].nullable
-        assert select_algorithm(spec_of(smin("v")), df) == "distributed_complete"
+    def test_non_nullable_schema_selects_complete(self, ranged, chosen):
+        assert not ranged.schema["v"].nullable
+        compute_skyline(ranged, spec_of(smin("v")))
+        assert chosen == ["distributed_complete"]
 
-    def test_expression_dim_conservatively_incomplete(self, spark):
-        df = spark.range(100).selectExpr("id", "id * 2 AS v")
-        assert select_algorithm(spec_of(smin("v + 1")), df) == "distributed_incomplete"
+    def test_expression_dim_conservatively_incomplete(self, ranged, chosen):
+        # Nullability is Catalyst's, derived per expression: it calls
+        # ``v / 2`` nullable although ``v`` is not, and Listing 8 follows.
+        compute_skyline(ranged, spec_of(smin("v / 2")))
+        assert chosen == ["distributed_incomplete"]
+
+    @pytest.mark.parametrize("dim", ["v + 1", "V"])
+    def test_sql_and_dataframe_api_agree(self, spark, ranged, chosen, dim):
+        # A computed or differently-cased dimension over non-nullable
+        # columns is non-nullable, whichever entry point builds the skyline.
+        api = skyline(ranged, smin(dim), smax("w"))
+        sql = sky_sql(spark, f"SELECT * FROM ranged SKYLINE OF {dim} MIN, w MAX")
+        assert chosen == ["distributed_complete"] * 2
+        assert sorted(api.toPandas()["id"]) == sorted(sql.toPandas()["id"])
+
+    def test_nullable_expression_selects_incomplete(self, spark, ranged, chosen):
+        skyline(ranged, smin("nullif(v, 0)"), smax("w"))
+        sky_sql(spark, "SELECT * FROM ranged SKYLINE OF nullif(v, 0) MIN, w MAX")
+        assert chosen == ["distributed_incomplete"] * 2
 
     def test_selection_used_by_compute(self, spark):
         # No override: nullable input with NULLs must still be correct

@@ -31,17 +31,6 @@ class TestSkylineDimension:
         with pytest.raises(TypeError):
             SkylineDimension("x", "MIN")
 
-    @pytest.mark.parametrize("expr,simple", [
-        ("price", True),
-        ("_x1", True),
-        ("price + tax", False),
-        ("count(*)", False),
-        ("t.price", False),
-        ("1price", False),
-    ])
-    def test_is_simple_column(self, expr, simple):
-        assert SkylineDimension(expr, DimType.MIN).is_simple_column is simple
-
     def test_sql_rendering(self):
         assert smin("price").sql() == "price MIN"
         assert smax("r").sql() == "r MAX"

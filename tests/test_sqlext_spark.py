@@ -4,10 +4,11 @@ import pandas as pd
 import pytest
 
 from repro.api import skyline
-from repro.core.physical import ALGORITHMS, reference_skyline_df
+from repro.core.physical import ALGORITHMS
 from repro.core.spec import smax, smin, spec_of
 from repro.oracle import assert_equivalent
 from repro.sqlext import sky_sql
+from repro.sqlext.analyzer import ResolvedSkylineQuery, resolve
 from repro.sqlext.parser import SkylineParseError
 
 from tests.helpers import skyline_oracle_pandas
@@ -142,6 +143,18 @@ class TestAnalyzerIntegration:
         )
         assert sorted(out.toPandas()["id"]) == sorted(exp["id"])
 
+    def test_base_output_dims_left_as_written(self, spark, hotels):
+        spec = spec_of(smin("PRICE + 1"), smax("user_rating"))
+        resolved = resolve(spark, "SELECT * FROM hotels", spec)
+        assert resolved == ResolvedSkylineQuery("SELECT * FROM hotels", spec, ())
+
+    def test_only_unevaluable_dims_spliced(self, spark, hotels):
+        resolved = resolve(spark, "SELECT id, price FROM hotels",
+                           spec_of(smin("price * 2"), smax("user_rating")))
+        assert resolved.base_sql == "SELECT id, price, (user_rating) AS __sky_e0 FROM hotels"
+        assert [d.expr for d in resolved.spec.dimensions] == ["price * 2", "__sky_e0"]
+        assert resolved.final_columns == ("id", "price")
+
     def test_aggregate_dim_not_in_projection(self, spark, hotels):
         # Skyline over count(*) while the projection only has the avg —
         # the Listing-7 case (aggregate must be injected into the Aggregate).
@@ -254,7 +267,8 @@ class TestSessionCatalog:
             sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX",
                     algorithm="reference"),
             skyline(df, smin("price"), smax("user_rating"), algorithm="reference"),
-            reference_skyline_df(df, spec, null_aware=False),
+            skyline(df, smin("price"), smax("user_rating"), complete=True,
+                    algorithm="reference"),
         ]
         assert temp_views() == before
         # The views were only needed for analysis: every result still runs.
