@@ -23,7 +23,7 @@ Figures 3–7).  Regenerate any table with
 | Inside Airbnb | real snapshot, 1,193,465 / 820,698 rows | synthetic (same schema/null pattern), 500,000 / ≈348,000 rows (1/2 scale) |
 | DSB store_sales | DSB generator, subsets 1e6–1e7 | synthetic (same schema/skew features), subsets 250k–2.5M (1/4 scale) |
 | timeout | 3600 s | 120 s ("t.o." in the tables) |
-| skyline operator | native Catalyst/Scala physical operators | `mapInPandas` stages (NumPy BNL kernels) |
+| skyline operator | native Catalyst/Scala physical operators | `mapInArrow` stages over Arrow buffers (NumPy BNL kernels) |
 | reference baseline | Listing-4 plain-SQL `NOT EXISTS` | identical (verbatim rewrite, SQL three-valued semantics) |
 
 Two systematic substrate effects to keep in mind when diffing numbers

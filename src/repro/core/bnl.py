@@ -2,8 +2,8 @@
 
 These functions compute *keep masks* over pre-normalized matrices (see
 ``dominance.normalize_matrix``): MAX dimensions already negated, NULL
-as NaN.  The physical layer (physical.py) feeds them per-partition
-pandas batches via ``mapInPandas``.
+as NaN.  The physical layer (physical.py) feeds them each partition's
+matrices from ``mapInArrow`` stages over Arrow buffers.
 
 * :func:`bnl_skyline_mask` — the window-based BNL algorithm [5] for
   complete data, used for both the local and the global stage of the

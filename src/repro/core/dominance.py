@@ -6,6 +6,10 @@ dimensions are negated up front so that "better" always means
 NaN-aware; the complete kernels assume no NaN, as the paper's complete
 algorithms assume no NULLs).
 
+The physical layer runs the kernels in ``mapInArrow`` stages over
+Arrow buffers: :func:`normalize_matrix` builds the matrices from the
+Arrow columns without pandas.
+
 Matrix layout: ``mm`` is the (n, k) matrix of MIN/MAX values (already
 normalized), ``diff`` is the (n, j) matrix of DIFF values (or None if
 the spec has no DIFF dimensions).
@@ -28,7 +32,7 @@ definitions directly and serve the test oracle
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 from .spec import DimType, SkylineSpec
 
@@ -43,23 +47,54 @@ __all__ = [
 ]
 
 
-def normalize_matrix(pdf: pd.DataFrame, spec: SkylineSpec, cols: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
-    """Extract (mm, diff) float64 matrices from ``pdf``.
+def _arrow_column(chunked: pa.ChunkedArray) -> np.ndarray:
+    """A float64 copy of an Arrow double column, NULL as NaN.
 
-    ``cols`` gives the materialized column name of each dimension in
-    clause order (dimension expressions are pre-evaluated into columns
-    by the physical layer).  MAX columns are negated; NULL becomes NaN.
+    Reads each chunk's validity and data buffers directly (honouring
+    the chunk's ``offset``), because ``Array.to_numpy`` and
+    ``np.asarray`` import pandas on first use and a stage worker never
+    needs it.
+    """
+    if chunked.type != pa.float64():
+        raise TypeError(f"expected an Arrow double column, got {chunked.type}")
+    parts = []
+    for chunk in chunked.chunks:
+        lo, n = chunk.offset, len(chunk)
+        validity, data = chunk.buffers()
+        v = np.frombuffer(data, dtype=np.float64, count=lo + n)[lo:]
+        if chunk.null_count:
+            valid = np.unpackbits(np.frombuffer(validity, dtype=np.uint8),
+                                  count=lo + n, bitorder="little")[lo:]
+            v = np.where(valid, v, np.nan)
+        parts.append(v)
+    # concatenate copies, so the result no longer reads Arrow's memory.
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def normalize_matrix(data, spec: SkylineSpec, cols: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Extract (mm, diff) float64 matrices from ``data``.
+
+    ``data`` is a ``pyarrow.Table`` whose ``cols`` are double columns
+    (what the ``mapInArrow`` stages receive) or a pandas DataFrame with
+    numeric ``cols``.  ``cols`` gives the materialized column name of
+    each dimension in clause order (dimension expressions are
+    pre-evaluated into columns by the physical layer).  MAX columns are
+    negated; NULL becomes NaN.
     """
     if len(cols) != len(spec.dimensions):
         raise ValueError("cols must align 1:1 with spec.dimensions")
+    arrow = isinstance(data, pa.Table)
     mm_cols: list[np.ndarray] = []
     diff_cols: list[np.ndarray] = []
     for dim, col in zip(spec.dimensions, cols):
-        v = pd.to_numeric(pdf[col], errors="raise").to_numpy(dtype=np.float64, na_value=np.nan)
+        if arrow:
+            v = _arrow_column(data.column(col))
+        else:
+            v = data[col].to_numpy(dtype=np.float64, na_value=np.nan)
         if dim.dim_type is DimType.MAX:
             v = -v
         (diff_cols if dim.dim_type is DimType.DIFF else mm_cols).append(v)
-    n = len(pdf)
+    n = len(data)
     mm = np.column_stack(mm_cols) if mm_cols else np.empty((n, 0))
     diff = np.column_stack(diff_cols) if diff_cols else None
     return mm, diff

@@ -3,9 +3,11 @@
 The paper implements the skyline as *two* physical nodes — a
 distributed local-skyline node (``UnspecifiedDistribution``) feeding a
 single-instance global-skyline node (``AllTuples`` distribution).
-From PySpark, each node becomes a ``mapInPandas`` stage; the
-``AllTuples`` requirement is realized with ``repartition(1)`` (a
-shuffle, so the upstream local stage keeps its parallelism).
+From PySpark, each node becomes a ``mapInArrow`` stage over Arrow
+buffers (the NumPy kernels read the dimension columns' buffers
+directly); the ``AllTuples`` requirement is realized with
+``repartition(1)`` (a shuffle, so the upstream local stage keeps its
+parallelism).
 
 Four executable algorithms, named as in §6.3 / the performance charts:
 
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import BooleanType, NumericType, TimestampType
 
@@ -46,7 +49,7 @@ __all__ = [
     "select_algorithm",
     "compute_skyline",
     "single_dim_skyline",
-    "check_algorithm",
+    "check_hints",
     "listing4_sql",
     "reference_skyline",
 ]
@@ -94,10 +97,18 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
     return out, cols, any(f.nullable for f in fields)
 
 
-def check_algorithm(algorithm: Optional[str]) -> None:
-    """Reject an algorithm hint that is neither None nor one of :data:`ALGORITHMS`."""
+def check_hints(algorithm: Optional[str], parallelism: Optional[int]) -> None:
+    """Reject physical-planning hints the stages cannot honour.
+
+    ``algorithm`` must be None or one of :data:`ALGORITHMS`;
+    ``parallelism`` must be None or a positive ``int`` (not a bool),
+    since it becomes the partition count of a ``repartition``.
+    """
     if algorithm is not None and algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if parallelism is not None and (
+            not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1):
+        raise ValueError(f"parallelism must be a positive int or None, got {parallelism!r}")
 
 
 def select_algorithm(spec: SkylineSpec, nullable: bool) -> str:
@@ -113,26 +124,27 @@ def select_algorithm(spec: SkylineSpec, nullable: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# mapInPandas stage bodies
+# mapInArrow stage body
 # ---------------------------------------------------------------------------
 
-def _concat_partition(batches: Iterator[pd.DataFrame]) -> Optional[pd.DataFrame]:
-    pdfs = [p for p in batches if len(p)]
-    if not pdfs:
-        return None
-    return pd.concat(pdfs, ignore_index=True) if len(pdfs) > 1 else pdfs[0]
-
-
 def _make_stage(spec: SkylineSpec, cols: list[str], mask_fn):
-    """Build a mapInPandas function keeping the rows of a partition that
-    ``mask_fn(mm, diff)`` marks as its skyline."""
+    """Build a mapInArrow function keeping the rows of a partition that
+    ``mask_fn(mm, diff)`` marks as its skyline.
 
-    def stage(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        pdf = _concat_partition(batches)
-        if pdf is None:
+    The kernels' matrices are read straight from the Arrow buffers and
+    the mask is handed back as an Arrow bitmap, so no worker imports
+    pandas (``pa.array`` and ``Array.to_numpy`` would).
+    """
+
+    def stage(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        batches = [b for b in batches if b.num_rows]
+        if not batches:
             return
-        mm, diff = normalize_matrix(pdf, spec, cols)
-        yield pdf[mask_fn(mm, diff)]
+        table = pa.Table.from_batches(batches)
+        mask = mask_fn(*normalize_matrix(table, spec, cols))
+        keep = pa.BooleanArray.from_buffers(
+            pa.bool_(), len(mask), [None, pa.py_buffer(np.packbits(mask, bitorder="little"))])
+        yield from table.filter(keep).to_batches()
 
     return stage
 
@@ -175,8 +187,8 @@ def _local_global(df: DataFrame, spec: SkylineSpec, cols: list[str], algorithm: 
             df = df.repartition(parallelism, *keys)
         elif keys:
             df = df.repartition(*keys)
-        df = df.mapInPandas(_make_stage(spec, cols, local_fn), df.schema)
-    return _all_tuples(df).mapInPandas(_make_stage(spec, cols, global_fn), df.schema)
+        df = df.mapInArrow(_make_stage(spec, cols, local_fn), df.schema)
+    return _all_tuples(df).mapInArrow(_make_stage(spec, cols, global_fn), df.schema)
 
 
 def _dominance_condition(spec: SkylineSpec, cols: Sequence[str], *, null_aware: bool) -> str:
@@ -255,13 +267,14 @@ def single_dim_skyline(df: DataFrame, spec: SkylineSpec) -> DataFrame:
     dim = spec.minmax_dims[0]
     work, cols, _ = _materialize_dims(df, spec)
     c = cols[0]
+    opt_col = f"{_DIM_PREFIX}_opt"  # in the prefix _materialize_dims reserves
     agg_fn = F.min if dim.dim_type is DimType.MIN else F.max
-    opt = work.agg(agg_fn(F.col(c)).alias("__sky_opt"))
+    opt = work.agg(agg_fn(F.col(c)).alias(opt_col))
     joined = work.crossJoin(opt)  # 1-row side: broadcast is disabled session-wide
-    cond = F.col(c) == F.col("__sky_opt")
+    cond = F.col(c) == F.col(opt_col)
     if not spec.complete:
         cond = cond | F.col(c).isNull()
-    out = joined.where(cond).drop("__sky_opt")
+    out = joined.where(cond).drop(opt_col)
     if spec.distinct:
         out = out.dropDuplicates(cols)
     return out.drop(*cols)
@@ -279,7 +292,7 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
     stage (None = keep the child's partitioning, the paper's
     ``UnspecifiedDistribution`` default).
     """
-    check_algorithm(algorithm)
+    check_hints(algorithm, parallelism)
     work, cols, nullable = _materialize_dims(df, spec)
     algorithm = algorithm or select_algorithm(spec, nullable)
     if algorithm == "reference":

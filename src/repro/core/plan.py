@@ -55,7 +55,7 @@ class Skyline(LogicalPlan):
     def __post_init__(self) -> None:
         # Checked here, before any rule can replace the node, so a bad
         # hint fails the same way whichever lowering the plan ends in.
-        physical.check_algorithm(self.algorithm)
+        physical.check_hints(self.algorithm, self.parallelism)
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,6 +87,21 @@ class TestSkylineApi:
         with pytest.raises(ValueError, match="unknown algorithm"):
             skyline(df, smin("price"), algorithm="typo")
 
+    @pytest.mark.parametrize("dims", [("price",), ("price", "rating")])
+    @pytest.mark.parametrize("parallelism", [2.5, 0, -1, True])
+    def test_bad_parallelism_rejected(self, listings, dims, parallelism):
+        _, df = listings
+        with pytest.raises(ValueError, match="parallelism must be a positive int"):
+            skyline(df, *map(smin, dims), parallelism=parallelism)
+
+    def test_internal_optimum_name_free(self, spark):
+        # The single-dimension rewrite's optimum column must not clash
+        # with an input column of the name it once used.
+        df = spark.createDataFrame(pd.DataFrame({"a": [2.0, 1.0, 1.0], "__sky_opt": [1, 2, 3]}))
+        out = skyline(df, smin("a"))
+        assert out.columns == ["a", "__sky_opt"]
+        assert sorted(out.toPandas()["__sky_opt"]) == [2, 3]
+
     def test_expression_dims(self, listings):
         pdf, df = listings
         out = skyline(df, smin("price / rooms"), smax("rating")).toPandas()

@@ -1,6 +1,7 @@
 """Unit tests for the dominance kernels (repro.core.dominance)."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,88 @@ class TestNormalizeMatrix:
         spec = spec_of(smin("a"))
         mm, _ = dm.normalize_matrix(pd.DataFrame({"a": [1, 2]}), spec, ["a"])
         assert mm.dtype == np.float64
+
+
+def arrow_table(pdf: pd.DataFrame, cuts=()) -> pa.Table:
+    """``pdf`` as an Arrow table of double columns (NaN as NULL), one
+    chunk per slice between the row indices in ``cuts``."""
+    bounds = [0, *cuts, len(pdf)]
+    return pa.table({
+        c: pa.chunked_array(
+            [pa.array(pdf[c].to_numpy()[lo:hi], type=pa.float64(),
+                      mask=np.isnan(pdf[c].to_numpy()[lo:hi]))
+             for lo, hi in zip(bounds, bounds[1:])],
+            type=pa.float64())
+        for c in pdf.columns
+    })
+
+
+def assert_same_matrices(got, want):
+    (g_mm, g_diff), (w_mm, w_diff) = got, want
+    np.testing.assert_array_equal(g_mm, w_mm)  # NaN positions must match too
+    assert g_mm.dtype == np.float64 and g_mm.shape == w_mm.shape
+    if w_diff is None:
+        assert g_diff is None
+    else:
+        np.testing.assert_array_equal(g_diff, w_diff)
+
+
+_MARKERS = {"min": smin, "max": smax, "diff": sdiff}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # The first dimension is MIN or MAX: a DIFF-only spec is rejected.
+    kinds=st.tuples(st.sampled_from(["min", "max"]),
+                    st.lists(st.sampled_from(sorted(_MARKERS)), max_size=3)).map(
+                        lambda t: [t[0], *t[1]]),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_arrow_read_matches_pandas_path(kinds, n, seed, data):
+    # Multi-chunk, then sliced so chunks start at a non-zero offset.
+    rng = np.random.default_rng(seed)
+    cols = [f"c{i}" for i in range(len(kinds))]
+    vals = rng.integers(-3, 4, size=(n, len(cols))).astype(float)
+    vals[rng.random(vals.shape) < 0.3] = np.nan
+    pdf = pd.DataFrame(vals, columns=cols)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3), label="cuts"))
+    lo = data.draw(st.integers(0, n), label="slice start")
+    length = data.draw(st.integers(0, n - lo), label="slice length")
+    spec = spec_of(*[_MARKERS[k](c) for k, c in zip(kinds, cols)])
+    table = arrow_table(pdf, cuts).slice(lo, length)
+    want = dm.normalize_matrix(pdf.iloc[lo:lo + length].reset_index(drop=True), spec, cols)
+    assert_same_matrices(dm.normalize_matrix(table, spec, cols), want)
+
+
+class TestNormalizeArrow:
+    def test_max_negated_diff_split_nulls_nan(self):
+        pdf = pd.DataFrame({"a": [1.0, np.nan, 3.0], "b": [4.0, 5.0, np.nan],
+                            "c": [np.nan, 7.0, 8.0]})
+        spec = spec_of(smin("a"), smax("b"), sdiff("c"))
+        mm, diff = dm.normalize_matrix(arrow_table(pdf, [1]), spec, ["a", "b", "c"])
+        np.testing.assert_array_equal(mm, arr([1, -4], [np.nan, -5], [3, np.nan]))
+        np.testing.assert_array_equal(diff, arr([np.nan], [7], [8]))
+
+    def test_zero_rows(self):
+        spec = spec_of(smin("a"), sdiff("c"))
+        pdf = pd.DataFrame({"a": np.empty(0), "c": np.empty(0)})
+        for table in (arrow_table(pdf), arrow_table(pd.DataFrame({"a": [1.0], "c": [2.0]})).slice(1)):
+            mm, diff = dm.normalize_matrix(table, spec, ["a", "c"])
+            assert mm.shape == (0, 1) and diff.shape == (0, 1)
+
+    def test_all_null_column(self):
+        pdf = pd.DataFrame({"a": [np.nan] * 5, "b": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        spec = spec_of(smax("a"), smin("b"))
+        table = arrow_table(pdf, [2]).slice(1)
+        assert_same_matrices(dm.normalize_matrix(table, spec, ["a", "b"]),
+                             dm.normalize_matrix(pdf.iloc[1:].reset_index(drop=True), spec, ["a", "b"]))
+
+    def test_non_double_column_rejected(self):
+        with pytest.raises(TypeError, match="double"):
+            dm.normalize_matrix(pa.table({"a": pa.array([1, 2], pa.int64())}),
+                                spec_of(smin("a")), ["a"])
 
 
 class TestCompleteKernels:

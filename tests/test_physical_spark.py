@@ -4,6 +4,9 @@ Every result-checking test diffs against a definitional oracle (and,
 for complete data, the DuckDB-executed Listing-4 rewrite) — §5.9's
 "intensively tested ... verified against the equivalent plain SQL".
 """
+import datetime
+from decimal import Decimal
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -134,6 +137,33 @@ class TestCompleteAlgorithms:
         df = spark.createDataFrame(make_pdf(10))
         with pytest.raises(ValueError, match="unknown algorithm"):
             compute_skyline(df, spec_of(smin("a")), algorithm="bogus")
+
+    @pytest.mark.parametrize("parallelism", [2.5, 0, -1, True])
+    def test_bad_parallelism_rejected(self, spark, parallelism):
+        df = spark.createDataFrame(make_pdf(10))
+        with pytest.raises(ValueError, match="parallelism must be a positive int"):
+            compute_skyline(df, spec_of(smin("a"), smax("b")), parallelism=parallelism)
+
+    @pytest.mark.parametrize("algorithm", SPECIALIZED)
+    def test_payload_types_pass_through_empty_partitions(self, spark, algorithm):
+        # Three rows over eight local partitions: most partitions are
+        # empty, so their local stages emit nothing.  Every payload type
+        # must come back from both Arrow stages exactly as it went in.
+        schema = ("id INT, a DOUBLE, b DOUBLE, s STRING, dec DECIMAL(12,3), "
+                  "d DATE, ts TIMESTAMP")
+        rows = [
+            (0, 1.0, 1.0, "x", Decimal("1.250"), datetime.date(2024, 1, 1),
+             datetime.datetime(2024, 1, 1, 12, 0, 0, 123456)),
+            (1, 2.0, 2.0, "y", Decimal("999999999.999"), datetime.date(1900, 2, 28),
+             datetime.datetime(2024, 1, 2)),
+            (2, 0.5, 3.0, None, Decimal("-7.001"), None,
+             datetime.datetime(1969, 12, 31, 23, 59, 59, 999999)),
+        ]
+        df = spark.createDataFrame(rows, schema)
+        out = compute_skyline(df, spec_of(smin("a"), smin("b")), algorithm=algorithm,
+                              parallelism=8)
+        assert out.schema == df.schema
+        assert sorted(tuple(r) for r in out.collect()) == [rows[0], rows[2]]
 
 
 class TestIncompleteAlgorithm:

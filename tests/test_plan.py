@@ -52,3 +52,8 @@ class TestSkylineNode:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             P.Skyline(rel("a"), spec_of(smin("a")), algorithm="typo")
+
+    @pytest.mark.parametrize("parallelism", [2.5, 0, -1, True, "4"])
+    def test_bad_parallelism_rejected(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism must be a positive int"):
+            P.Skyline(rel("a"), spec_of(smin("a")), parallelism=parallelism)

@@ -248,6 +248,12 @@ class TestSkylineOverComplexBase:
         with pytest.raises(ValueError, match="unknown algorithm"):
             sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN", algorithm="nope")
 
+    @pytest.mark.parametrize("parallelism", [2.5, 0, -1, True])
+    def test_bad_parallelism_rejected(self, spark, hotels, parallelism):
+        with pytest.raises(ValueError, match="parallelism must be a positive int"):
+            sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX",
+                    parallelism=parallelism)
+
     def test_parse_error_propagates(self, spark, hotels):
         with pytest.raises(SkylineParseError):
             sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price")
