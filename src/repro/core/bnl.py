@@ -19,8 +19,9 @@ matrices from ``mapInArrow`` stages over Arrow buffers.
   data: all-pairs, flag-then-delete (Appendix A, "Correct Skyline
   Computation") so cyclic dominance relationships cannot resurrect
   dominated tuples.
-* :func:`naive_skyline_mask` — O(n²) definitional implementation, used
-  only as a test oracle.
+
+Every dominance test runs through the one batch kernel
+``dominance.dominated_mask``.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "bnl_skyline_mask",
     "incomplete_local_skyline_mask",
     "incomplete_global_skyline_mask",
-    "naive_skyline_mask",
 ]
 
 _CHUNK = 512
@@ -75,7 +75,7 @@ def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _C
         raise ValueError("bnl_skyline_mask requires complete (NaN-free) data")
 
     def dominated(by: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return dm.dominated_mask_complete(
+        return dm.dominated_mask(
             mm[by], None if diff is None else diff[by],
             mm[rows], None if diff is None else diff[rows],
         )
@@ -138,19 +138,5 @@ def incomplete_global_skyline_mask(mm: np.ndarray, diff: np.ndarray | None) -> n
     tuples are only *flagged* and all flags are applied at the end
     (Appendix A).  This is O(n²) but safe under cyclic dominance.
     """
-    dominated = dm.dominated_mask_incomplete(mm, diff, mm, diff, exclude_self=True)
+    dominated = dm.dominated_mask(mm, diff, mm, diff, exclude_self=True)
     return ~dominated
-
-
-def naive_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, incomplete: bool) -> np.ndarray:
-    """Definitional O(n²) skyline — test oracle only."""
-    n = mm.shape[0]
-    keep = np.ones(n, dtype=bool)
-    check = dm.any_dominates_incomplete if incomplete else dm.any_dominates_complete
-    for i in range(n):
-        others = np.arange(n) != i
-        keep[i] = not check(
-            mm[others], None if diff is None else diff[others],
-            mm[i], None if diff is None else diff[i],
-        )
-    return keep

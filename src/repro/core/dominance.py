@@ -1,12 +1,11 @@
-"""Vectorized dominance-check kernels (paper §5.5 "dominance check utility").
+"""The dominance-check utility (paper §5.5): one vectorized batch kernel.
 
-All kernels operate on *sign-normalized* float64 matrices: MAX
-dimensions are negated up front so that "better" always means
-"smaller".  NULL is represented as NaN (the incomplete kernels are
-NaN-aware; the complete kernels assume no NaN, as the paper's complete
-algorithms assume no NULLs).
+:func:`dominated_mask` is the only dominance test the algorithms run.
+It works on *sign-normalized* float64 matrices: MAX dimensions are
+negated up front so that "better" always means "smaller", and NULL is
+NaN.
 
-The physical layer runs the kernels in ``mapInArrow`` stages over
+The physical layer runs the kernel in ``mapInArrow`` stages over
 Arrow buffers: :func:`normalize_matrix` builds the matrices from the
 Arrow columns without pandas.
 
@@ -22,12 +21,10 @@ Definition 3.1 (complete data): r dominates s iff
 Incomplete data (§3): every comparison is restricted to dimensions
 where *both* tuples are non-NULL; DIFF dimensions where either side is
 NULL are treated as equal.  This relation is not transitive, which is
-why the incomplete global phase (bnl.py) never deletes eagerly.
-
-The algorithms run only the batch masks ``dominated_mask_*``.  The
-per-tuple checks ``dominates_*`` and ``any_dominates_*`` state the
-definitions directly and serve the test oracle
-(``bnl.naive_skyline_mask``) and the tests.
+why the incomplete global phase (bnl.py) never deletes eagerly.  On
+NaN-free input it is Definition 3.1, so the one null-aware kernel
+serves both semantics; the complete algorithms never pass NaN
+(``bnl.bnl_skyline_mask`` rejects it).
 """
 from __future__ import annotations
 
@@ -36,15 +33,7 @@ import pyarrow as pa
 
 from .spec import DimType, SkylineSpec
 
-__all__ = [
-    "normalize_matrix",
-    "dominates_complete",
-    "dominates_incomplete",
-    "any_dominates_complete",
-    "any_dominates_incomplete",
-    "dominated_mask_complete",
-    "dominated_mask_incomplete",
-]
+__all__ = ["normalize_matrix", "dominated_mask"]
 
 
 def _arrow_column(chunked: pa.ChunkedArray) -> np.ndarray:
@@ -128,83 +117,9 @@ def _cand_blocks(n_set: int, n_cand: int):
         yield lo, min(n_cand, lo + step)
 
 
-# ---------------------------------------------------------------------------
-# Complete-data kernels
-# ---------------------------------------------------------------------------
-
-def dominates_complete(r_mm: np.ndarray, r_diff: np.ndarray | None,
-                       s_mm: np.ndarray, s_diff: np.ndarray | None) -> bool:
-    """Scalar check: does tuple r dominate tuple s (complete data)?"""
-    if r_diff is not None and not np.array_equal(r_diff, s_diff):
-        return False
-    return bool(np.all(r_mm <= s_mm) and np.any(r_mm < s_mm))
-
-
-def any_dominates_complete(mm: np.ndarray, diff: np.ndarray | None,
-                           t_mm: np.ndarray, t_diff: np.ndarray | None) -> bool:
-    """Is tuple t dominated by *any* row of the (mm, diff) set?"""
-    _check_pair_shapes(mm, diff)
-    le = np.all(mm <= t_mm, axis=1)
-    lt = np.any(mm < t_mm, axis=1)
-    dom = le & lt
-    if diff is not None:
-        dom &= np.all(diff == t_diff, axis=1)
-    return bool(dom.any())
-
-
-def dominated_mask_complete(mm: np.ndarray, diff: np.ndarray | None,
-                            cand_mm: np.ndarray, cand_diff: np.ndarray | None) -> np.ndarray:
-    """Boolean mask over ``cand``: candidate i is dominated by some row of the set.
-
-    The batch-elimination primitive of the block BNL in bnl.py.  It is
-    :func:`dominated_mask_incomplete` without ``exclude_self``: on
-    NaN-free input the null-aware fold ``better & ~worse`` *is*
-    Definition 3.1 ("no worse everywhere and strictly better
-    somewhere"), and ``~(a < b | a > b)`` is ``a == b`` on DIFF
-    columns, so one fold serves both semantics.  The complete callers
-    never pass NaN (``bnl.bnl_skyline_mask`` rejects it).
-    """
-    return dominated_mask_incomplete(mm, diff, cand_mm, cand_diff)
-
-
-# ---------------------------------------------------------------------------
-# Incomplete-data (NaN-aware) kernels
-# ---------------------------------------------------------------------------
-
-def dominates_incomplete(r_mm: np.ndarray, r_diff: np.ndarray | None,
-                         s_mm: np.ndarray, s_diff: np.ndarray | None) -> bool:
-    """Scalar null-aware check: does r dominate s (incomplete data)?"""
-    both = ~np.isnan(r_mm) & ~np.isnan(s_mm)
-    ok = np.all(~both | (r_mm <= s_mm))
-    better = np.any(both & (r_mm < s_mm))
-    if not (ok and better):
-        return False
-    if r_diff is not None:
-        both_d = ~np.isnan(r_diff) & ~np.isnan(s_diff)
-        if not np.all(~both_d | (r_diff == s_diff)):
-            return False
-    return True
-
-
-def any_dominates_incomplete(mm: np.ndarray, diff: np.ndarray | None,
-                             t_mm: np.ndarray, t_diff: np.ndarray | None) -> bool:
-    """Is tuple t dominated by any row of the set, under null-aware semantics?"""
-    _check_pair_shapes(mm, diff)
-    both = ~np.isnan(mm) & ~np.isnan(t_mm)  # (n, k)
-    with np.errstate(invalid="ignore"):
-        ok = np.all(~both | (mm <= t_mm), axis=1)
-        better = np.any(both & (mm < t_mm), axis=1)
-    dom = ok & better
-    if diff is not None:
-        both_d = ~np.isnan(diff) & ~np.isnan(t_diff)
-        with np.errstate(invalid="ignore"):
-            dom &= np.all(~both_d | (diff == t_diff), axis=1)
-    return bool(dom.any())
-
-
-def dominated_mask_incomplete(mm: np.ndarray, diff: np.ndarray | None,
-                              cand_mm: np.ndarray, cand_diff: np.ndarray | None,
-                              *, exclude_self: bool = False) -> np.ndarray:
+def dominated_mask(mm: np.ndarray, diff: np.ndarray | None,
+                   cand_mm: np.ndarray, cand_diff: np.ndarray | None,
+                   *, exclude_self: bool = False) -> np.ndarray:
     """Null-aware batch mask: candidate i dominated by some row of the set.
 
     The one batch dominance kernel.  For each block of candidates the
@@ -219,7 +134,10 @@ def dominated_mask_incomplete(mm: np.ndarray, diff: np.ndarray | None,
         dom    = better & ~worse
 
     only look at dimensions where both values are non-NULL, and a NULL
-    DIFF value matches everything.
+    DIFF value matches everything.  On NaN-free input this is
+    Definition 3.1: ``better & ~worse`` is "no worse everywhere and
+    strictly better somewhere", and a DIFF value is neither below nor
+    above exactly the values it equals.
 
     With ``exclude_self=True`` the set and candidates are the *same*
     array and row i is not compared against itself — this is the

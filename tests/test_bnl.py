@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import bnl
 
+from tests.helpers import naive_skyline_mask
+
 
 def arr(*rows):
     return np.array(rows, dtype=np.float64)
@@ -26,8 +28,9 @@ class TestBnlComplete:
         np.testing.assert_array_equal(mask, [True, True, False])
 
     def test_window_eviction(self):
-        # A later, better tuple must evict earlier window entries.
-        mask = bnl.bnl_skyline_mask(arr([5, 5], [3, 3], [1, 1]), None)
+        # A later, better tuple must evict earlier window entries; blocks
+        # of one row put each tuple in the window before the next arrives.
+        mask = bnl.bnl_skyline_mask(arr([5, 5], [3, 3], [1, 1]), None, chunk=1)
         np.testing.assert_array_equal(mask, [False, False, True])
 
     def test_diff_partitions_dominance(self):
@@ -70,7 +73,7 @@ def test_bnl_matches_naive(d, n, seed, ties):
     mm = (rng.integers(0, 4, size=(n, d)) if ties else rng.random((n, d)) * 4).astype(float)
     np.testing.assert_array_equal(
         bnl.bnl_skyline_mask(mm, None),
-        bnl.naive_skyline_mask(mm, None, incomplete=False),
+        naive_skyline_mask(mm, None, incomplete=False),
     )
 
 
@@ -82,7 +85,7 @@ def test_bnl_with_diff_matches_naive(d, j, n, seed):
     diff = rng.integers(0, 3, size=(n, j)).astype(float)
     np.testing.assert_array_equal(
         bnl.bnl_skyline_mask(mm, diff),
-        bnl.naive_skyline_mask(mm, diff, incomplete=False),
+        naive_skyline_mask(mm, diff, incomplete=False),
     )
 
 
@@ -113,7 +116,7 @@ def test_block_bnl_matches_naive(chunk, d, j, n, seed, specials):
             x[hit] = rng.choice(_SIGNED_ZERO_AND_INF, size=int(hit.sum()))
     np.testing.assert_array_equal(
         bnl.bnl_skyline_mask(mm, diff, chunk=chunk),
-        bnl.naive_skyline_mask(mm, diff, incomplete=False),
+        naive_skyline_mask(mm, diff, incomplete=False),
     )
 
 
@@ -197,7 +200,7 @@ def test_incomplete_global_matches_naive(d, j, n, seed):
         diff[rng.random((n, j)) < 0.3] = np.nan
     np.testing.assert_array_equal(
         bnl.incomplete_global_skyline_mask(mm, diff),
-        bnl.naive_skyline_mask(mm, diff, incomplete=True),
+        naive_skyline_mask(mm, diff, incomplete=True),
     )
 
 
@@ -213,4 +216,4 @@ def test_local_then_global_pipeline_is_correct(d, n, seed):
     g = bnl.incomplete_global_skyline_mask(survivors, None)
     got = np.zeros(n, dtype=bool)
     got[np.flatnonzero(local)[g]] = True
-    np.testing.assert_array_equal(got, bnl.naive_skyline_mask(mm, None, incomplete=True))
+    np.testing.assert_array_equal(got, naive_skyline_mask(mm, None, incomplete=True))

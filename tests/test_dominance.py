@@ -1,4 +1,5 @@
-"""Unit tests for the dominance kernels (repro.core.dominance)."""
+"""Unit tests for the dominance kernel (repro.core.dominance) and the
+definitional dominance oracle it is checked against (tests.helpers)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -8,9 +9,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core import dominance as dm
 from repro.core.spec import DimType, SkylineSpec, sdiff, smax, smin, spec_of
 
+from tests.helpers import any_dominates
+
 
 def arr(*rows):
     return np.array(rows, dtype=np.float64)
+
+
+def dominates(r_mm, r_diff, s_mm, s_diff, *, incomplete=False):
+    """The oracle's pair check: does tuple r dominate tuple s?"""
+    return any_dominates(r_mm[None], None if r_diff is None else r_diff[None],
+                         s_mm, s_diff, incomplete=incomplete)
 
 
 class TestNormalizeMatrix:
@@ -137,36 +146,36 @@ class TestNormalizeArrow:
 
 class TestCompleteKernels:
     def test_strict_dominance(self):
-        assert dm.dominates_complete(arr(1, 1), None, arr(2, 2), None)
+        assert dominates(arr(1, 1), None, arr(2, 2), None)
 
     def test_equal_rows_do_not_dominate(self):
-        assert not dm.dominates_complete(arr(1, 1), None, arr(1, 1), None)
+        assert not dominates(arr(1, 1), None, arr(1, 1), None)
 
     def test_incomparable(self):
-        assert not dm.dominates_complete(arr(1, 2), None, arr(2, 1), None)
-        assert not dm.dominates_complete(arr(2, 1), None, arr(1, 2), None)
+        assert not dominates(arr(1, 2), None, arr(2, 1), None)
+        assert not dominates(arr(2, 1), None, arr(1, 2), None)
 
     def test_weak_plus_one_strict(self):
-        assert dm.dominates_complete(arr(1, 1), None, arr(1, 2), None)
+        assert dominates(arr(1, 1), None, arr(1, 2), None)
 
     def test_diff_mismatch_blocks(self):
-        assert not dm.dominates_complete(arr(1), arr(0), arr(2), arr(1))
+        assert not dominates(arr(1), arr(0), arr(2), arr(1))
 
     def test_diff_match_allows(self):
-        assert dm.dominates_complete(arr(1), arr(7), arr(2), arr(7))
+        assert dominates(arr(1), arr(7), arr(2), arr(7))
 
     def test_any_dominates(self):
         mm = arr([5, 5], [1, 1])
-        assert dm.any_dominates_complete(mm, None, arr(2, 2), None)
-        assert not dm.any_dominates_complete(mm, None, arr(0, 0), None)
+        assert any_dominates(mm, None, arr(2, 2), None, incomplete=False)
+        assert not any_dominates(mm, None, arr(0, 0), None, incomplete=False)
 
     def test_any_dominates_empty_set(self):
-        assert not dm.any_dominates_complete(np.empty((0, 2)), None, arr(1, 1), None)
+        assert not any_dominates(np.empty((0, 2)), None, arr(1, 1), None, incomplete=False)
 
     def test_dominated_mask(self):
         mm = arr([1, 1])
         cand = arr([2, 2], [0, 0], [1, 1])
-        mask = dm.dominated_mask_complete(mm, None, cand, None)
+        mask = dm.dominated_mask(mm, None, cand, None)
         np.testing.assert_array_equal(mask, [True, False, False])
 
     def test_dominated_mask_with_diff(self):
@@ -174,54 +183,56 @@ class TestCompleteKernels:
         diff = arr([0])
         cand = arr([2], [2])
         cand_diff = arr([0], [1])
-        mask = dm.dominated_mask_complete(mm, diff, cand, cand_diff)
+        mask = dm.dominated_mask(mm, diff, cand, cand_diff)
         np.testing.assert_array_equal(mask, [True, False])
 
     def test_dominated_mask_empty(self):
-        assert dm.dominated_mask_complete(np.empty((0, 1)), None, arr([1]), None).tolist() == [False]
-        assert dm.dominated_mask_complete(arr([1]), None, np.empty((0, 1)), None).size == 0
+        assert dm.dominated_mask(np.empty((0, 1)), None, arr([1]), None).tolist() == [False]
+        assert dm.dominated_mask(arr([1]), None, np.empty((0, 1)), None).size == 0
 
 
 class TestIncompleteKernels:
     def test_null_dims_skipped(self):
         # r=(1, NaN), s=(2, 5): only dim 0 comparable -> r < s.
-        assert dm.dominates_incomplete(arr(1, np.nan), None, arr(2, 5), None)
+        assert dominates(arr(1, np.nan), None, arr(2, 5), None, incomplete=True)
 
     def test_no_common_dims_incomparable(self):
-        assert not dm.dominates_incomplete(arr(1, np.nan), None, arr(np.nan, 5), None)
+        assert not dominates(arr(1, np.nan), None, arr(np.nan, 5), None, incomplete=True)
 
     def test_strict_needed_on_common(self):
-        assert not dm.dominates_incomplete(arr(1, np.nan), None, arr(1, 5), None)
+        assert not dominates(arr(1, np.nan), None, arr(1, 5), None, incomplete=True)
 
     def test_cyclic_example_from_paper(self):
         # Paper §3: a=(1,*,10), b=(3,2,*), c=(*,5,3) — a<b, b<c, c<a.
         a, b, c = arr(1, np.nan, 10), arr(3, 2, np.nan), arr(np.nan, 5, 3)
-        assert dm.dominates_incomplete(a, None, b, None)
-        assert dm.dominates_incomplete(b, None, c, None)
-        assert dm.dominates_incomplete(c, None, a, None)
-        assert not dm.dominates_incomplete(a, None, c, None)
+        assert dominates(a, None, b, None, incomplete=True)
+        assert dominates(b, None, c, None, incomplete=True)
+        assert dominates(c, None, a, None, incomplete=True)
+        assert not dominates(a, None, c, None, incomplete=True)
 
     def test_diff_null_treated_equal(self):
-        assert dm.dominates_incomplete(arr(1), arr(np.nan), arr(2), arr(7))
-        assert not dm.dominates_incomplete(arr(1), arr(5), arr(2), arr(7))
+        assert dominates(arr(1), arr(np.nan), arr(2), arr(7), incomplete=True)
+        assert not dominates(arr(1), arr(5), arr(2), arr(7), incomplete=True)
 
     def test_any_dominates_incomplete(self):
         mm = np.array([[1, np.nan], [np.nan, 5]])
-        assert dm.any_dominates_incomplete(mm, None, arr(2, 2), None)
+        assert any_dominates(mm, None, arr(2, 2), None, incomplete=True)
+        # Without the §3 semantics a NULL-bearing row dominates nothing.
+        assert not any_dominates(mm, None, arr(2, 2), None, incomplete=False)
 
     def test_mask_exclude_self(self):
         mm = arr([1, 1], [1, 1])
-        mask = dm.dominated_mask_incomplete(mm, None, mm, None, exclude_self=True)
+        mask = dm.dominated_mask(mm, None, mm, None, exclude_self=True)
         np.testing.assert_array_equal(mask, [False, False])
 
     def test_mask_matches_scalar(self):
         rng = np.random.default_rng(1)
         mm = rng.random((40, 3))
         mm[rng.random((40, 3)) < 0.3] = np.nan
-        mask = dm.dominated_mask_incomplete(mm, None, mm, None, exclude_self=True)
+        mask = dm.dominated_mask(mm, None, mm, None, exclude_self=True)
         for i in range(40):
             others = np.arange(40) != i
-            expected = dm.any_dominates_incomplete(mm[others], None, mm[i], None)
+            expected = any_dominates(mm[others], None, mm[i], None, incomplete=True)
             assert mask[i] == expected, i
 
 
@@ -235,9 +246,9 @@ def test_batch_mask_agrees_with_scalar_complete(d, n, seed):
     rng = np.random.default_rng(seed)
     mm = rng.integers(0, 4, size=(n, d)).astype(float)
     cand = rng.integers(0, 4, size=(7, d)).astype(float)
-    mask = dm.dominated_mask_complete(mm, None, cand, None)
+    mask = dm.dominated_mask(mm, None, cand, None)
     for i in range(7):
-        assert mask[i] == dm.any_dominates_complete(mm, None, cand[i], None)
+        assert mask[i] == any_dominates(mm, None, cand[i], None, incomplete=False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,8 +257,8 @@ def test_incomplete_reduces_to_complete_without_nans(d, n, seed):
     rng = np.random.default_rng(seed)
     mm = rng.random((n, d))
     t = rng.random(d)
-    assert dm.any_dominates_incomplete(mm, None, t, None) == dm.any_dominates_complete(
-        mm, None, t, None
+    assert any_dominates(mm, None, t, None, incomplete=True) == any_dominates(
+        mm, None, t, None, incomplete=False
     )
 
 
@@ -256,8 +267,8 @@ def test_incomplete_reduces_to_complete_without_nans(d, n, seed):
 def test_complete_dominance_is_transitive(d, seed):
     rng = np.random.default_rng(seed)
     a, b, c = rng.integers(0, 3, size=(3, d)).astype(float)
-    if dm.dominates_complete(a, None, b, None) and dm.dominates_complete(b, None, c, None):
-        assert dm.dominates_complete(a, None, c, None)
+    if dominates(a, None, b, None) and dominates(b, None, c, None):
+        assert dominates(a, None, c, None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,6 +276,6 @@ def test_complete_dominance_is_transitive(d, seed):
 def test_dominance_is_irreflexive_and_asymmetric(d, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, 3, size=(2, d)).astype(float)
-    assert not dm.dominates_complete(a, None, a, None)
-    if dm.dominates_complete(a, None, b, None):
-        assert not dm.dominates_complete(b, None, a, None)
+    assert not dominates(a, None, a, None)
+    if dominates(a, None, b, None):
+        assert not dominates(b, None, a, None)

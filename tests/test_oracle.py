@@ -1,9 +1,13 @@
-"""Tests for the DuckDB result-equality oracle (repro.oracle)."""
+"""Tests for the DuckDB result-equality oracle (repro.oracle) and the
+definitional skyline oracle (tests.helpers.skyline_oracle_pandas)."""
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.spec import sdiff, smin, spec_of
 from repro.oracle import assert_equivalent
+
+from tests.helpers import skyline_oracle_pandas
 
 
 class TestAssertEquivalent:
@@ -48,3 +52,24 @@ class TestAssertEquivalent:
         pdf = pd.DataFrame({"a": [0.1 + 0.2]})
         df = spark.createDataFrame(pd.DataFrame({"a": [0.3]}))
         assert_equivalent(df, "SELECT a FROM t", t=pdf)
+
+
+class TestSkylineOracle:
+    def test_int64_above_2_53_stays_exact(self):
+        # float64 merges these two values; the oracle must not.
+        pdf = pd.DataFrame({"v": np.array([2**53 + 1, 2**53], dtype=np.int64)})
+        for incomplete in (False, True):
+            out = skyline_oracle_pandas(pdf, spec_of(smin("v")), incomplete=incomplete)
+            assert out["v"].tolist() == [2**53]
+
+    def test_string_diff_values_incomparable(self):
+        pdf = pd.DataFrame({"p": [1, 2, 3], "g": ["x", "y", "x"]})
+        out = skyline_oracle_pandas(pdf, spec_of(smin("p"), sdiff("g")), incomplete=False)
+        assert out.index.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("g", [[None, "x"], ["x", None]])
+    def test_null_diff_matches_only_under_incomplete(self, g):
+        pdf = pd.DataFrame({"p": [1, 2], "g": g})
+        spec = spec_of(smin("p"), sdiff("g"))
+        assert skyline_oracle_pandas(pdf, spec, incomplete=True).index.tolist() == [0]
+        assert skyline_oracle_pandas(pdf, spec, incomplete=False).index.tolist() == [0, 1]
