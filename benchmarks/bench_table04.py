@@ -1,21 +1,8 @@
 """pytest-benchmark suite for paper Table 4 (dims sweep).
 
-Regenerates Table 4's grid at bench scale (see benchmarks/common.py);
-the full-scale numbers recorded in EXPERIMENTS.md come from
-``python jobs/run_table.py --table 4``.
+The sweep values below are the subset of the table's grid benchmarked;
+``benchmarks/common.py`` builds the test.
 """
-import pytest
+from benchmarks.common import table_benchmark
 
-from repro.bench.tables import table_def
-
-from benchmarks.common import run_cell_benchmark
-
-TDEF = table_def(4)
-SWEEP_SUBSET = [1, 6]
-
-
-@pytest.mark.parametrize("algorithm", TDEF.algorithms)
-@pytest.mark.parametrize("sweep_value", SWEEP_SUBSET)
-def test_table04(spark, benchmark, sweep_value, algorithm):
-    benchmark.group = f"table04:{TDEF.sweep}={sweep_value}"
-    run_cell_benchmark(spark, benchmark, 4, sweep_value, algorithm)
+test_table04 = table_benchmark(4, [1, 6])

@@ -1,21 +1,8 @@
 """pytest-benchmark suite for paper Table 12 (executors sweep).
 
-Regenerates Table 12's grid at bench scale (see benchmarks/common.py);
-the full-scale numbers recorded in EXPERIMENTS.md come from
-``python jobs/run_table.py --table 12``.
+The sweep values below are the subset of the table's grid benchmarked;
+``benchmarks/common.py`` builds the test.
 """
-import pytest
+from benchmarks.common import table_benchmark
 
-from repro.bench.tables import table_def
-
-from benchmarks.common import run_cell_benchmark
-
-TDEF = table_def(12)
-SWEEP_SUBSET = [1, 10]
-
-
-@pytest.mark.parametrize("algorithm", TDEF.algorithms)
-@pytest.mark.parametrize("sweep_value", SWEEP_SUBSET)
-def test_table12(spark, benchmark, sweep_value, algorithm):
-    benchmark.group = f"table12:{TDEF.sweep}={sweep_value}"
-    run_cell_benchmark(spark, benchmark, 12, sweep_value, algorithm)
+test_table12 = table_benchmark(12, [1, 10])

@@ -1,7 +1,8 @@
-"""Shared machinery for the table pytest-benchmark suite.
+"""Shared machinery for the per-table pytest-benchmark suites.
 
-``bench_tables.py`` re-runs cells of every evaluation table (paper
-Tables 3–12) through pytest-benchmark.  To keep
+Each ``bench_tableNN.py`` re-runs cells of one evaluation table (paper
+Tables 3–12) through pytest-benchmark; it names only the table and its
+sweep subset, and ``table_benchmark`` builds the test.  To keep
 ``pytest benchmarks/`` in CI territory, benches run at *bench scale* —
 a further 1/10 of the reproduction scale (Airbnb ≈24k rows,
 store_sales 25k–250k).  The recorded paper-vs-ours numbers in
@@ -16,6 +17,8 @@ pytest-benchmark's statistical repetition would multiply the suite's
 wall-clock for no insight).
 """
 from __future__ import annotations
+
+import pytest
 
 from repro.bench.harness import build_cell_df, input_df
 from repro.bench.tables import TableDef, table_def
@@ -55,3 +58,17 @@ def run_cell_benchmark(spark, benchmark, table: int, sweep_value, algorithm: str
         out.write.format("noop").mode("overwrite").save()
 
     benchmark.pedantic(action, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def table_benchmark(table: int, sweep_subset):
+    """The pytest-benchmark test over every algorithm of ``table`` at each
+    value of ``sweep_subset``, grouped as ``tableNN:<sweep>=<value>``."""
+    tdef = table_def(table)
+
+    @pytest.mark.parametrize("algorithm", tdef.algorithms)
+    @pytest.mark.parametrize("sweep_value", sweep_subset)
+    def test(spark, benchmark, sweep_value, algorithm):
+        benchmark.group = f"table{table:02d}:{tdef.sweep}={sweep_value}"
+        run_cell_benchmark(spark, benchmark, table, sweep_value, algorithm)
+
+    return test
