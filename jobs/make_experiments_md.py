@@ -20,25 +20,10 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from repro.bench.report import LABELS, fmt_seconds, percent_rows
 from repro.bench.tables import TABLES, table_def
 
-try:
-    from experiments_notes import HEADER, NOTES, FOOTER
-except ImportError:  # pragma: no cover
-    HEADER, NOTES, FOOTER = "# EXPERIMENTS\n", {}, ""
-
-_LABELS = {
-    "reference": "reference",
-    "non_distributed_complete": "non-distributed complete",
-    "distributed_complete": "distributed complete",
-    "distributed_incomplete": "distributed incomplete",
-}
-
-
-def _fmt(v, suffix=""):
-    if v is None:
-        return "t.o."
-    return f"{v:.2f}{suffix}"
+from experiments_notes import HEADER, NOTES, FOOTER
 
 
 def load_results(results_dir: str, table: int) -> dict | None:
@@ -52,7 +37,6 @@ def load_results(results_dir: str, table: int) -> dict | None:
 
 
 def paper_rows(tdef) -> list[str]:
-    vals = list(tdef.sweep_values)
     lines = []
     none_marker = "t.o." if tdef.paper_none_is_timeout else "(n/r)"
     cells = [none_marker if v is None else f"{v:.2f} s"
@@ -63,36 +47,18 @@ def paper_rows(tdef) -> list[str]:
             continue
         row = tdef.paper_percent.get(algo)
         cells = ["n.a." if v is None else f"{v:.2f}%" for v in row]
-        lines.append(f"| {_LABELS[algo]} | " + " | ".join(cells) + " |")
+        lines.append(f"| {LABELS[algo]} | " + " | ".join(cells) + " |")
     return lines
 
 
 def ours_rows(tdef, results) -> list[str]:
-    vals = list(tdef.sweep_values)
-    refs = [results.get((v, "reference")) for v in vals]
-    sec_lines, pct_lines = [], []
+    sec_lines = []
     for algo in tdef.algorithms:
-        secs = [results.get((v, algo)) for v in vals]
-        sec_lines.append(
-            f"| {_LABELS[algo]} | " + " | ".join(_fmt(s, " s") for s in secs) + " |"
-        )
-        if algo == "reference":
-            pct_lines.append(
-                "| reference | "
-                + " | ".join("100.00%" if r is not None else "n.a." for r in refs)
-                + " |"
-            )
-        else:
-            cells = []
-            for s, r in zip(secs, refs):
-                if r is None:
-                    cells.append("n.a.")
-                elif s is None:
-                    cells.append("t.o.")
-                else:
-                    cells.append(f"{100 * s / r:.2f}%")
-            pct_lines.append(f"| {_LABELS[algo]} | " + " | ".join(cells) + " |")
-    return pct_lines + [""] + ["*Absolute seconds (ours):*", ""] + _header(tdef) + sec_lines
+        secs = [results.get((v, algo)) for v in tdef.sweep_values]
+        cells = [fmt_seconds(s) + ("" if s is None else " s") for s in secs]
+        sec_lines.append(f"| {LABELS[algo]} | " + " | ".join(cells) + " |")
+    return (percent_rows(tdef, results) + ["", "*Absolute seconds (ours):*", ""]
+            + _header(tdef) + sec_lines)
 
 
 def _header(tdef) -> list[str]:
@@ -129,8 +95,7 @@ def main() -> None:
     parts = [HEADER.strip(), ""]
     for t in sorted(TABLES):
         parts.append(render_table_section(t, args.results))
-    if FOOTER:
-        parts.append(FOOTER.strip())
+    parts.append(FOOTER.strip())
     with open(args.out, "w") as f:
         f.write("\n".join(parts) + "\n")
     print(f"wrote {args.out}")

@@ -34,7 +34,6 @@ def skyline(df: DataFrame, *dims: SkylineDimension,
     ``repro.core.physical``).
     """
     spec = SkylineSpec(tuple(dims), distinct=distinct, complete=complete)
-    root = optimizer.optimize(
-        P.Skyline(P.Relation(df), spec, algorithm=algorithm, parallelism=parallelism)
-    )
-    return P.execute(root)
+    node = optimizer.optimize(
+        P.Skyline(df, spec, algorithm=algorithm, parallelism=parallelism))
+    return P.execute(node)

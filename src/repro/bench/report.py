@@ -12,9 +12,10 @@ from typing import Optional
 
 from .tables import TableDef
 
-__all__ = ["render_table", "render_results_markdown", "results_to_json"]
+__all__ = ["LABELS", "fmt_seconds", "percent_rows", "render_table",
+           "render_results_markdown", "results_to_json"]
 
-_LABELS = {
+LABELS = {
     "reference": "reference",
     "non_distributed_complete": "non-distributed complete",
     "distributed_complete": "distributed complete",
@@ -22,7 +23,7 @@ _LABELS = {
 }
 
 
-def _fmt_seconds(v: Optional[float]) -> str:
+def fmt_seconds(v: Optional[float]) -> str:
     return "t.o." if v is None else f"{v:.2f}"
 
 
@@ -34,6 +35,24 @@ def _fmt_percent(v: Optional[float], ref: Optional[float]) -> str:
     return f"{100.0 * v / ref:.2f}%"
 
 
+def percent_rows(tdef: TableDef, results: dict) -> list[str]:
+    """One markdown row per algorithm: its times as % of the reference's.
+
+    ``results`` maps (sweep_value, algorithm) -> seconds | None.
+    """
+    sweep_vals = list(tdef.sweep_values)
+    refs = [results.get((v, "reference")) for v in sweep_vals]
+    rows = []
+    for algo in tdef.algorithms:
+        cells = [
+            "100.00%" if algo == "reference" and r is not None
+            else _fmt_percent(results.get((v, algo)), r)
+            for v, r in zip(sweep_vals, refs)
+        ]
+        rows.append(f"| {LABELS[algo]} | " + " | ".join(cells) + " |")
+    return rows
+
+
 def render_table(tdef: TableDef, results: dict) -> str:
     """Markdown for one table.
 
@@ -42,20 +61,12 @@ def render_table(tdef: TableDef, results: dict) -> str:
     sweep_vals = list(tdef.sweep_values)
     header = "| algorithm | " + " | ".join(str(v) for v in sweep_vals) + " |"
     sep = "|---" * (len(sweep_vals) + 1) + "|"
-    refs = [results.get((v, "reference")) for v in sweep_vals]
-
-    pct_rows = []
-    sec_rows = []
-    for algo in tdef.algorithms:
-        vals = [results.get((v, algo)) for v in sweep_vals]
-        pct_cells = [
-            "100.00%" if algo == "reference" and r is not None else _fmt_percent(v, r)
-            for v, r in zip(vals, refs)
-        ]
-        pct_rows.append(f"| {_LABELS[algo]} | " + " | ".join(pct_cells) + " |")
-        sec_rows.append(
-            f"| {_LABELS[algo]} | " + " | ".join(_fmt_seconds(v) for v in vals) + " |"
-        )
+    pct_rows = percent_rows(tdef, results)
+    sec_rows = [
+        f"| {LABELS[algo]} | "
+        + " | ".join(fmt_seconds(results.get((v, algo))) for v in sweep_vals) + " |"
+        for algo in tdef.algorithms
+    ]
     lines = [
         f"**Table {tdef.table}** — {tdef.caption}",
         "",

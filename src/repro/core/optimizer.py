@@ -1,18 +1,17 @@
 """Skyline-specific optimizer rule (paper §5.4).
 
-Catalyst is a rule-based optimizer over logical plans; our rule is a
-plain function ``LogicalPlan -> LogicalPlan`` applied bottom-up via
-``plan.transform_up`` — the same contract as a Catalyst
-``Rule[LogicalPlan]``.
+Catalyst is a rule-based optimizer over logical plans; our one rule,
+SingleDimensionRewrite, is the function :func:`optimize` from a
+:class:`plan.Skyline` node to a node — the contract of a Catalyst rule
+(plan in, plan out) over a plan holding one skyline.
 
-:class:`SingleDimensionRewrite` — a skyline over a single MIN/MAX
-dimension is the plain optimum of that dimension.  Rather than
-sorting (O(n log n)) the paper picks the scalar-subquery-and-select
-formulation (O(n)); we rewrite to :class:`plan.SingleDimSkyline`
-which executes exactly that.  Without COMPLETE, NULL rows are
-additionally kept — with one dimension a NULL tuple shares no
-non-NULL dimension with anyone, hence is incomparable and belongs to
-the skyline.
+A skyline over a single MIN/MAX dimension is the plain optimum of that
+dimension.  Rather than sorting (O(n log n)) the paper picks the
+scalar-subquery-and-select formulation (O(n)); we rewrite to
+:class:`plan.SingleDimSkyline` which executes exactly that.  Without
+COMPLETE, NULL rows are additionally kept — with one dimension a NULL
+tuple shares no non-NULL dimension with anyone, hence is incomparable
+and belongs to the skyline.
 
 The paper's second rule, pushing a skyline below a non-reductive join,
 is not implemented: both entry points hand the skyline an opaque base
@@ -26,23 +25,15 @@ from __future__ import annotations
 
 from . import plan as P
 
-__all__ = ["SingleDimensionRewrite", "optimize"]
+__all__ = ["optimize"]
 
 
-class SingleDimensionRewrite:
-    """Skyline with one MIN/MAX dimension and no DIFF → scalar-subquery select."""
+def optimize(node: P.Skyline) -> P.Skyline | P.SingleDimSkyline:
+    """SingleDimensionRewrite: one MIN/MAX dimension and no DIFF → scalar-subquery select.
 
-    def __call__(self, node: P.LogicalPlan) -> P.LogicalPlan:
-        if not isinstance(node, P.Skyline):
-            return node
-        if node.algorithm == "reference":
-            return node
-        spec = node.spec
-        if len(spec.minmax_dims) != 1 or spec.diff_dims:
-            return node
-        return P.SingleDimSkyline(node.child, spec)
-
-
-def optimize(root: P.LogicalPlan) -> P.LogicalPlan:
-    """Apply the rule bottom-up; ``root`` itself comes back if it never fires."""
-    return P.transform_up(root, SingleDimensionRewrite())
+    ``node`` itself comes back when the rule does not fire.
+    """
+    spec = node.spec
+    if node.algorithm == "reference" or len(spec.minmax_dims) != 1 or spec.diff_dims:
+        return node
+    return P.SingleDimSkyline(node.child, spec)

@@ -97,6 +97,13 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
     return out, cols, any(f.nullable for f in fields)
 
 
+def _drop_dims(out: DataFrame, spec: SkylineSpec, cols: list[str]) -> DataFrame:
+    """Closing step of every lowering: DISTINCT on the dimensions, then drop them."""
+    if spec.distinct:
+        out = out.dropDuplicates(cols)
+    return out.drop(*cols)
+
+
 def check_hints(algorithm: Optional[str], parallelism: Optional[int]) -> None:
     """Reject physical-planning hints the stages cannot honour.
 
@@ -149,15 +156,6 @@ def _make_stage(spec: SkylineSpec, cols: list[str], mask_fn):
     return stage
 
 
-def _all_tuples(df: DataFrame) -> DataFrame:
-    """The paper's ``AllTuples`` distribution: everything on one instance.
-
-    ``repartition(1)`` (not ``coalesce``) so a shuffle boundary
-    separates the stages and the local stage keeps its parallelism.
-    """
-    return df.repartition(1)
-
-
 # ---------------------------------------------------------------------------
 # The three specialized algorithms: (local mask, global mask).  A None
 # local mask skips the local stage (§6.3 item 2: one global BNL).
@@ -188,7 +186,10 @@ def _local_global(df: DataFrame, spec: SkylineSpec, cols: list[str], algorithm: 
         elif keys:
             df = df.repartition(*keys)
         df = df.mapInArrow(_make_stage(spec, cols, local_fn), df.schema)
-    return _all_tuples(df).mapInArrow(_make_stage(spec, cols, global_fn), df.schema)
+    # The paper's ``AllTuples`` distribution: everything on one instance.
+    # ``repartition(1)`` (not ``coalesce``) so a shuffle boundary separates
+    # the stages and the local stage keeps its parallelism.
+    return df.repartition(1).mapInArrow(_make_stage(spec, cols, global_fn), df.schema)
 
 
 def _dominance_condition(spec: SkylineSpec, cols: Sequence[str], *, null_aware: bool) -> str:
@@ -274,10 +275,7 @@ def single_dim_skyline(df: DataFrame, spec: SkylineSpec) -> DataFrame:
     cond = F.col(c) == F.col(opt_col)
     if not spec.complete:
         cond = cond | F.col(c).isNull()
-    out = joined.where(cond).drop(opt_col)
-    if spec.distinct:
-        out = out.dropDuplicates(cols)
-    return out.drop(*cols)
+    return _drop_dims(joined.where(cond).drop(opt_col), spec, cols)
 
 
 def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
@@ -299,6 +297,4 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
         out = reference_skyline(work, spec, cols)
     else:
         out = _local_global(work, spec, cols, algorithm, parallelism)
-    if spec.distinct:
-        out = out.dropDuplicates(cols)
-    return out.drop(*cols)
+    return _drop_dims(out, spec, cols)

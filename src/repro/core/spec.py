@@ -52,9 +52,6 @@ class SkylineDimension:
         """Render back to the extended-SQL item syntax, e.g. ``price MIN``."""
         return f"{self.expr} {self.dim_type.value}"
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.sql()
-
 
 def smin(expr: str) -> SkylineDimension:
     """MIN dimension constructor — paper's ``smin()`` API (§5.8)."""
@@ -103,14 +100,6 @@ class SkylineSpec:
         object.__setattr__(self, "dimensions", dims)
 
     @property
-    def min_dims(self) -> tuple[SkylineDimension, ...]:
-        return tuple(d for d in self.dimensions if d.dim_type is DimType.MIN)
-
-    @property
-    def max_dims(self) -> tuple[SkylineDimension, ...]:
-        return tuple(d for d in self.dimensions if d.dim_type is DimType.MAX)
-
-    @property
     def diff_dims(self) -> tuple[SkylineDimension, ...]:
         return tuple(d for d in self.dimensions if d.dim_type is DimType.DIFF)
 
@@ -129,9 +118,6 @@ class SkylineSpec:
         head = " ".join(parts)
         items = ", ".join(d.sql() for d in self.dimensions)
         return f"{head} {items}"
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.sql()
 
 
 def spec_of(*dims: SkylineDimension, distinct: bool = False, complete: bool = False) -> SkylineSpec:

@@ -129,7 +129,12 @@ def inject_select_items(base_sql: str, items: list[str]) -> str:
 
 
 def resolve(spark: SparkSession, base_sql: str, spec: SkylineSpec) -> ResolvedSkylineQuery:
-    """Splice the dimensions the base query's output cannot evaluate into it."""
+    """Splice the dimensions the base query's output cannot evaluate into it.
+
+    Raises ``SkylineParseError`` when a dimension must be spliced and a
+    base output column already has the helper prefix: Spark would find
+    the helper's name ambiguous.
+    """
     base_cols = list(spark.sql(base_sql).columns)  # analysis only; no job runs
     base_lower = {c.lower() for c in base_cols}
     missing = [
@@ -138,6 +143,10 @@ def resolve(spark: SparkSession, base_sql: str, spec: SkylineSpec) -> ResolvedSk
     ]
     if not missing:
         return ResolvedSkylineQuery(base_sql, spec, ())
+    for c in base_cols:
+        if c.lower().startswith(_HELPER_PREFIX):
+            raise SkylineParseError(
+                f"base query column {c!r} collides with internal skyline columns")
 
     helper_names = {d: f"{_HELPER_PREFIX}{i}" for i, d in enumerate(missing)}
     # Listing 6/7 analogue: extend the base query's own select list.

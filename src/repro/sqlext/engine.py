@@ -3,8 +3,8 @@
 ``sky_sql(spark, query)`` runs the full flow the paper builds inside
 Spark SQL:
 
-    parse  →  logical plan  →  analyze  →  optimize  →  physical
-    (parser.py)  (core.plan)  (analyzer.py)  (core.optimizer)  (core.physical)
+    parse  →  analyze  →  skyline node  →  optimize  →  physical
+    (parser.py)  (analyzer.py)  (core.plan)  (core.optimizer)  (core.physical)
 
 Non-skyline queries pass straight through to ``spark.sql`` — the
 integration has no effect on other queries (§5.9).
@@ -38,11 +38,11 @@ def sky_sql(spark: SparkSession, query: str, *,
         return spark.sql(query)
 
     resolved = analyzer.resolve(spark, parsed.base_sql, parsed.spec)
-    root = optimizer.optimize(P.Skyline(
-        P.Relation(spark.sql(resolved.base_sql)), resolved.spec,
+    node = optimizer.optimize(P.Skyline(
+        spark.sql(resolved.base_sql), resolved.spec,
         algorithm=algorithm, parallelism=parallelism,
     ))
-    out = P.execute(root)
+    out = P.execute(node)
     if resolved.final_columns:
         out = out.select(*resolved.final_columns)
 

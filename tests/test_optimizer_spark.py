@@ -76,7 +76,7 @@ class TestSingleDimPhysical:
         rng = np.random.default_rng(8)
         pdf = pd.DataFrame({"id": range(200), "v": rng.integers(0, 9, 200).astype(float)})
         df = spark.createDataFrame(pdf)
-        root = P.Skyline(P.Relation(df), spec_of(smin("v"), complete=True))
+        root = P.Skyline(df, spec_of(smin("v"), complete=True))
         optimized = O.optimize(root)
         assert isinstance(optimized, P.SingleDimSkyline)
         fast = P.execute(optimized).toPandas()
@@ -89,7 +89,7 @@ class TestJoinPushdownSemantics:
         # Both entry points hand the skyline an opaque relation; a skyline
         # over a join is left as it is and matches the oracle.
         customers, orders, cdf, odf = orders_customers
-        root = P.Skyline(P.Relation(odf.join(cdf, on="custkey")),
+        root = P.Skyline(odf.join(cdf, on="custkey"),
                          spec_of(smin("totalprice"), smax("priority"), complete=True))
         out = O.optimize(root)
         assert out is root

@@ -209,6 +209,19 @@ class TestAnalyzerIntegration:
         with pytest.raises(Exception):
             sky_sql(spark, "SELECT id FROM hotels SKYLINE OF nonexistent MIN")
 
+    def test_helper_name_clash_raises(self, spark, hotels):
+        # user_rating must be spliced as a helper column, whose name the
+        # base output already uses.
+        with pytest.raises(SkylineParseError, match="'__sky_e0'"):
+            sky_sql(spark, "SELECT price AS __sky_e0, id FROM hotels "
+                           "SKYLINE OF user_rating MAX, id MIN")
+
+    def test_helper_prefix_without_splice(self, spark, hotels):
+        # Every dimension is a base output column: no helper, no clash.
+        out = sky_sql(spark, "SELECT id, price AS __sky_e0 FROM hotels "
+                             "SKYLINE OF __sky_e0 MIN").toPandas()
+        assert sorted(out["id"]) == sorted(hotels.loc[hotels.price == hotels.price.min(), "id"])
+
 
 class TestSkylineOverComplexBase:
     def test_skyline_over_subquery(self, spark, hotels):
