@@ -6,7 +6,7 @@ sweep subset, and ``table_benchmark`` builds the test.  To keep
 ``pytest benchmarks/`` in CI territory, benches run at *bench scale* —
 a further 1/10 of the reproduction scale (Airbnb ≈24k rows,
 store_sales 25k–250k).  The recorded paper-vs-ours numbers in
-EXPERIMENTS.md come from ``jobs/run_all_tables.py``, which runs the
+EXPERIMENTS.md come from ``jobs/run_table.py``, which runs the
 full reproduction scale with the timeout harness; the benches
 regenerate the same grids (same code path, same algorithms) at the
 smaller size.
@@ -44,15 +44,13 @@ def bench_n(tdef: TableDef, sweep_value) -> int:
 def run_cell_benchmark(spark, benchmark, table: int, sweep_value, algorithm: str) -> None:
     """Benchmark one (sweep value, algorithm) cell of a table at bench scale."""
     tdef = table_def(table)
-    dims = sweep_value if tdef.sweep == "dims" else tdef.fixed_dims
-    executors = sweep_value if tdef.sweep == "executors" else tdef.fixed_executors
-    n = bench_n(tdef, sweep_value)
+    cell = next(c for c in tdef.cells()
+                if (c["sweep_value"], c["algorithm"]) == (sweep_value, algorithm))
+    del cell["sweep_value"]
+    cell["n"] = bench_n(tdef, sweep_value)
     # Materialize the input outside the timed region.
-    input_df(spark, tdef.dataset, n=n, complete=tdef.complete)
-    out = build_cell_df(
-        spark, dataset=tdef.dataset, complete=tdef.complete, dims=dims,
-        n=n, executors=executors, algorithm=algorithm,
-    )
+    input_df(spark, tdef.dataset, n=cell["n"], complete=tdef.complete)
+    out = build_cell_df(spark, **cell)
 
     def action():
         out.write.format("noop").mode("overwrite").save()

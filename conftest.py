@@ -51,9 +51,8 @@ import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 
-@pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+def get_session(app_name: str) -> SparkSession:
+    """The local-mode SparkSession the tests and the ``jobs/`` scripts run on.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
@@ -62,8 +61,8 @@ def spark() -> SparkSession:
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
     """
-    s = (
-        SparkSession.builder.appName("repro")
+    return (
+        SparkSession.builder.appName(app_name)
         .config(
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
@@ -72,8 +71,14 @@ def spark() -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+
+
+@pytest.fixture(scope="session")
+def spark() -> SparkSession:
+    """One :func:`get_session` SparkSession for the whole test session."""
+    s = get_session("repro")
+    # One line in the test log that shows whether the cgroup
+    # derivation saw the real limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

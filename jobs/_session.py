@@ -1,8 +1,9 @@
 """Shared SparkSession builder for spark-submit entrypoints.
 
-Jobs are written as functions over a SparkSession (see conftest.py for
-the pytest fixture); this helper gives standalone ``python jobs/x.py``
-/ ``spark-submit jobs/x.py`` runs the same session configuration.
+Jobs are written as functions over a SparkSession; ``get_session`` is
+the builder of conftest.py's ``spark`` fixture, so standalone
+``python jobs/x.py`` / ``spark-submit jobs/x.py`` runs get the same
+session configuration as the tests.
 """
 from __future__ import annotations
 
@@ -10,16 +11,5 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS before pyspark import)
-
-from pyspark.sql import SparkSession
-
-
-def get_session(app_name: str = "skyline-repro") -> SparkSession:
-    return (
-        SparkSession.builder.appName(app_name)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+# Importing conftest also sets PYSPARK_SUBMIT_ARGS before pyspark loads.
+from conftest import get_session  # noqa: E402,F401

@@ -187,7 +187,8 @@ reference (Listing 13) is a ~50-line double-nested NOT EXISTS.
 
 ## Raw artifacts
 
-`results/tableNN.md` / `results/tableNN.json` hold the per-table runs
-(written by `jobs/run_table.py`); `test_output.txt` and
-`bench_output.txt` hold the final pytest and pytest-benchmark runs.
+`results/tableNN.json` holds the cell times of each table's run,
+written by `jobs/run_table.py` (which also prints the table's section
+as it appears here); `jobs/make_experiments_md.py` builds this file
+from them and from `jobs/experiments_notes.py`.
 """

@@ -1,16 +1,16 @@
-"""Reproduce one evaluation table (paper Tables 3–12).
+"""Reproduce the paper's evaluation tables (Tables 3–12).
 
 Usage:
-    python jobs/run_table.py --table 5 [--timeout 60] [--out results/table05.md]
+    python jobs/run_table.py [--table N [N ...]] [--timeout 120] [--out results]
 
-Runs every cell of the table's grid (sweep × algorithms) on the scaled
-datasets, prints the paper-style percentage and absolute-seconds rows,
-and writes markdown + JSON artifacts under results/.
+Runs every cell of each listed table's grid (sweep × algorithms; all
+ten tables when no --table is given) in one Spark session on the
+scaled datasets, writes <out>/tableNN.json and prints the table's
+EXPERIMENTS.md section (paper vs ours, % of reference and seconds).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -18,59 +18,48 @@ import time
 from _session import get_session
 
 from repro.bench.harness import run_cell, clear_cache, TIMEOUT_SECONDS
-from repro.bench.report import render_results_markdown, results_to_json
-from repro.bench.tables import table_def
+from repro.bench.report import render_section, results_path, results_to_json
+from repro.bench.tables import TABLES, table_def
 
 
-def run_table(spark, table: int, timeout_s: float, out_dir: str | None) -> dict:
+def run_table(spark, table: int, timeout_s: float, out_dir: str) -> dict:
     tdef = table_def(table)
     results: dict = {}
     print(f"=== Table {table}: {tdef.caption}", file=sys.stderr)
     for cell in tdef.cells():
-        key = (cell["sweep_value"], cell["algorithm"])
+        sweep_value = cell.pop("sweep_value")
         t0 = time.time()
-        secs = run_cell(
-            spark,
-            dataset=cell["dataset"], complete=cell["complete"], dims=cell["dims"],
-            n=cell["n"], executors=cell["executors"], algorithm=cell["algorithm"],
-            timeout_s=timeout_s,
-        )
-        results[key] = secs
+        secs = run_cell(spark, **cell, timeout_s=timeout_s)
+        results[sweep_value, cell["algorithm"]] = secs
         print(
-            f"  {tdef.sweep}={cell['sweep_value']} algo={cell['algorithm']}: "
+            f"  {tdef.sweep}={sweep_value} algo={cell['algorithm']}: "
             f"{'t.o.' if secs is None else f'{secs:.2f}s'} "
             f"(wall {time.time() - t0:.1f}s)",
             file=sys.stderr,
         )
-    params = (
-        f"{tdef.dataset} ({'complete' if tdef.complete else 'incomplete'}), "
-        f"sweep={tdef.sweep} {list(tdef.sweep_values)}, "
-        f"fixed dims={tdef.fixed_dims}, executors={tdef.fixed_executors}, "
-        f"timeout={timeout_s:.0f}s"
-    )
-    md = render_results_markdown(tdef, results, run_params=params)
-    print(md)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"table{table:02d}.md"), "w") as f:
-            f.write(md + "\n")
-        with open(os.path.join(out_dir, f"table{table:02d}.json"), "w") as f:
-            f.write(results_to_json(tdef, results))
+    os.makedirs(out_dir, exist_ok=True)
+    with open(results_path(out_dir, table), "w") as f:
+        f.write(results_to_json(tdef, results))
+    print(render_section(tdef, results))
     return results
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--table", type=int, required=True, choices=range(3, 13))
+    ap.add_argument("--table", type=int, nargs="+", choices=range(3, 13),
+                    default=sorted(TABLES))
     ap.add_argument("--timeout", type=float, default=TIMEOUT_SECONDS)
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
-    spark = get_session(f"skyline-table-{args.table}")
+    spark = get_session("skyline-tables")
+    t0 = time.time()
     try:
-        run_table(spark, args.table, args.timeout, args.out)
+        for t in args.table:
+            run_table(spark, t, args.timeout, args.out)
     finally:
         clear_cache()
         spark.stop()
+    print(f"total wall time: {time.time() - t0:.0f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

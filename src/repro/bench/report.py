@@ -1,19 +1,21 @@
-"""Render experiment results in the paper's Appendix-D table style.
+"""Render experiment results in the paper's Appendix-D table style, and
+write and read the ``results/tableNN.json`` files they are kept in.
 
-Each table is emitted twice, as in the paper: once as percentages of
-the reference time (100% = reference; "t.o." / "n.a." semantics
-identical to the paper) and once as absolute seconds.
+:func:`render_section` is one table's EXPERIMENTS.md section: the
+paper's numbers as Appendix D prints them (reference in seconds, the
+other algorithms as % of the reference), then ours twice, as % of our
+reference and as absolute seconds.  "t.o." / "n.a." mean what they
+mean in the paper.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import os
 from typing import Optional
 
 from .tables import TableDef
 
-__all__ = ["LABELS", "fmt_seconds", "percent_rows", "render_table",
-           "render_results_markdown", "results_to_json"]
+__all__ = ["LABELS", "render_section", "results_path", "results_to_json", "load_results"]
 
 LABELS = {
     "reference": "reference",
@@ -23,8 +25,14 @@ LABELS = {
 }
 
 
-def fmt_seconds(v: Optional[float]) -> str:
-    return "t.o." if v is None else f"{v:.2f}"
+def _row(label: str, cells) -> str:
+    return f"| {label} | " + " | ".join(cells) + " |"
+
+
+def _header(tdef: TableDef) -> list[str]:
+    vals = [f"{v:,}" if isinstance(v, int) and v >= 1000 else str(v)
+            for v in tdef.sweep_values]
+    return [_row("algorithm", vals), "|---" * (len(vals) + 1) + "|"]
 
 
 def _fmt_percent(v: Optional[float], ref: Optional[float]) -> str:
@@ -35,58 +43,52 @@ def _fmt_percent(v: Optional[float], ref: Optional[float]) -> str:
     return f"{100.0 * v / ref:.2f}%"
 
 
-def percent_rows(tdef: TableDef, results: dict) -> list[str]:
-    """One markdown row per algorithm: its times as % of the reference's.
-
-    ``results`` maps (sweep_value, algorithm) -> seconds | None.
-    """
-    sweep_vals = list(tdef.sweep_values)
-    refs = [results.get((v, "reference")) for v in sweep_vals]
-    rows = []
+def _paper_rows(tdef: TableDef) -> list[str]:
+    none_marker = "t.o." if tdef.paper_none_is_timeout else "(n/r)"
+    rows = [_row("reference", [none_marker if v is None else f"{v:.2f} s"
+                               for v in tdef.paper_reference_seconds])]
     for algo in tdef.algorithms:
-        cells = [
-            "100.00%" if algo == "reference" and r is not None
-            else _fmt_percent(results.get((v, algo)), r)
-            for v, r in zip(sweep_vals, refs)
-        ]
-        rows.append(f"| {LABELS[algo]} | " + " | ".join(cells) + " |")
+        if algo != "reference":
+            rows.append(_row(LABELS[algo], ["n.a." if v is None else f"{v:.2f}%"
+                                            for v in tdef.paper_percent[algo]]))
     return rows
 
 
-def render_table(tdef: TableDef, results: dict) -> str:
-    """Markdown for one table.
+def render_section(tdef: TableDef, results: Optional[dict], note: str = "") -> str:
+    """Markdown for one table: the paper's numbers, ours, then ``note``.
 
-    ``results`` maps (sweep_value, algorithm) -> seconds | None.
+    ``results`` maps (sweep_value, algorithm) -> seconds | None (timed
+    out); ``None`` means the table has not been run.
     """
-    sweep_vals = list(tdef.sweep_values)
-    header = "| algorithm | " + " | ".join(str(v) for v in sweep_vals) + " |"
-    sep = "|---" * (len(sweep_vals) + 1) + "|"
-    pct_rows = percent_rows(tdef, results)
-    sec_rows = [
-        f"| {LABELS[algo]} | "
-        + " | ".join(fmt_seconds(results.get((v, algo))) for v in sweep_vals) + " |"
-        for algo in tdef.algorithms
-    ]
-    lines = [
-        f"**Table {tdef.table}** — {tdef.caption}",
-        "",
-        "*Relative to reference:*",
-        "", header, sep, *pct_rows, "",
-        "*Absolute seconds:*",
-        "", header, sep, *sec_rows, "",
-    ]
-    return "\n".join(lines)
+    header = _header(tdef)
+    out = [f"## Table {tdef.table} — {tdef.caption}", "",
+           "*Paper (reference in seconds; others in % of reference; "
+           "\"(n/r)\" = not recoverable from the PDF text extraction):*", "",
+           *header, *_paper_rows(tdef), ""]
+    if results is None:
+        out += ["*(no reproduction results found — run "
+                f"`python jobs/run_table.py --table {tdef.table}`)*", ""]
+    else:
+        refs = [results.get((v, "reference")) for v in tdef.sweep_values]
+        pct, secs = [], []
+        for algo in tdef.algorithms:
+            times = [results.get((v, algo)) for v in tdef.sweep_values]
+            pct.append(_row(LABELS[algo], map(_fmt_percent, times, refs)))
+            secs.append(_row(LABELS[algo], ["t.o." if t is None else f"{t:.2f} s"
+                                            for t in times]))
+        out += ["*Ours (% of our reference):*", "", *header, *pct, "",
+                "*Absolute seconds (ours):*", "", *header, *secs, ""]
+    if note:
+        out += [note.strip(), ""]
+    return "\n".join(out)
 
 
-def render_results_markdown(tdef: TableDef, results: dict, *, run_params: str = "") -> str:
-    out = render_table(tdef, results)
-    if run_params:
-        out += f"\n*Reproduction parameters: {run_params}*\n"
-    return out
+def results_path(results_dir: str, table: int) -> str:
+    return os.path.join(results_dir, f"table{table:02d}.json")
 
 
 def results_to_json(tdef: TableDef, results: dict) -> str:
-    """Serialize one table's results (for results/*.json artifacts)."""
+    """Serialize one table's results (the ``results_path`` file)."""
     payload = {
         "table": tdef.table,
         "caption": tdef.caption,
@@ -97,3 +99,13 @@ def results_to_json(tdef: TableDef, results: dict) -> str:
         ],
     }
     return json.dumps(payload, indent=2)
+
+
+def load_results(results_dir: str, table: int) -> Optional[dict]:
+    """The results ``results_to_json`` wrote for ``table``; None if absent."""
+    path = results_path(results_dir, table)
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        payload = json.load(f)
+    return {(c["sweep_value"], c["algorithm"]): c["seconds"] for c in payload["cells"]}

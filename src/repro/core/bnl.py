@@ -12,9 +12,9 @@ matrices from ``mapInArrow`` stages over Arrow buffers.
   block → window); no step loops over single rows.
 * :func:`incomplete_local_skyline_mask` — local stage for incomplete
   data: rows are grouped by their null bitmap (which dimensions are
-  NULL) and a complete BNL runs inside each group over the group's
-  non-NULL dimensions.  Inside a group all tuples share the same NULL
-  positions, so dominance is transitive again (§5.7).
+  NULL) and the block BNL runs on each group.  Inside a group all
+  tuples share the same NULL positions, so dominance is transitive
+  again (§5.7).
 * :func:`incomplete_global_skyline_mask` — global stage for incomplete
   data: all-pairs, flag-then-delete (Appendix A, "Correct Skyline
   Computation") so cyclic dominance relationships cannot resurrect
@@ -38,11 +38,23 @@ __all__ = [
 _CHUNK = 512
 
 
-def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _CHUNK) -> np.ndarray:
+def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None) -> np.ndarray:
     """Complete-data BNL: boolean keep-mask of the skyline rows of (mm, diff).
 
+    Raises ``ValueError`` on NaN (NULL): a ``COMPLETE`` query over NULL
+    data has no transitive dominance to run the block BNL on.
+    """
+    if np.isnan(mm).any() or (diff is not None and np.isnan(diff).any()):
+        raise ValueError("bnl_skyline_mask requires complete (NaN-free) data")
+    return _block_bnl(mm, diff)
+
+
+def _block_bnl(mm: np.ndarray, diff: np.ndarray | None) -> np.ndarray:
+    """Block BNL: keep-mask of the rows no other row dominates, for rows
+    whose dominance is complete dominance on their non-NULL dimensions.
+
     The window holds (indices of) the skyline of all rows seen so far
-    [5].  Rows arrive in blocks of ``chunk``; each block is merged into
+    [5].  Rows arrive in blocks of ``_CHUNK``; each block is merged into
     the window by three batch steps, with no per-row loop:
 
     1. drop the candidates dominated by a window row;
@@ -67,25 +79,20 @@ def bnl_skyline_mask(mm: np.ndarray, diff: np.ndarray | None, *, chunk: int = _C
     since that would put one window row below another.  So after step
     3 the window is the skyline of every row seen so far.
     """
-    n = mm.shape[0]
-    keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    if np.isnan(mm).any() or (diff is not None and np.isnan(diff).any()):
-        raise ValueError("bnl_skyline_mask requires complete (NaN-free) data")
-
     def dominated(by: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return dm.dominated_mask(
             mm[by], None if diff is None else diff[by],
             mm[rows], None if diff is None else diff[rows],
         )
 
+    n, chunk = mm.shape[0], _CHUNK
     window = np.empty(0, dtype=np.int64)
     for lo in range(0, n, chunk):
         cand = np.arange(lo, min(n, lo + chunk))
         cand = cand[~dominated(window, cand)]
         cand = cand[~dominated(cand, cand)]
         window = np.concatenate([window[~dominated(cand, window)], cand])
+    keep = np.zeros(n, dtype=bool)
     keep[window] = True
     return keep
 
@@ -104,30 +111,18 @@ def _null_bitmaps(mm: np.ndarray, diff: np.ndarray | None) -> np.ndarray:
 def incomplete_local_skyline_mask(mm: np.ndarray, diff: np.ndarray | None) -> np.ndarray:
     """Local skyline for (potentially) incomplete data (§5.7).
 
-    Partition rows by null bitmap; run a complete BNL per bitmap group
-    restricted to the group's non-NULL dimensions.  Groups whose
-    MIN/MAX dimensions are all NULL have no dominance relation and are
-    kept wholesale.
+    Partition rows by null bitmap and run the block BNL on each whole
+    bitmap group.  Inside a group every row is NULL on the same
+    dimensions, and ``dominated_mask`` ignores every comparison with
+    NULL, so there it is complete dominance on the group's non-NULL
+    dimensions, which is transitive.  A group with no non-NULL MIN/MAX
+    dimension has no dominated row and is kept whole.
     """
-    n = mm.shape[0]
-    keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
+    keep = np.zeros(mm.shape[0], dtype=bool)
     bitmaps = _null_bitmaps(mm, diff)
     for b in np.unique(bitmaps):
         rows = np.flatnonzero(bitmaps == b)
-        g_mm = mm[rows]
-        g_diff = None if diff is None else diff[rows]
-        mm_cols = ~np.isnan(g_mm[0]) if g_mm.shape[1] else np.empty(0, dtype=bool)
-        sub_mm = g_mm[:, mm_cols]
-        sub_diff = None
-        if g_diff is not None and g_diff.shape[1]:
-            diff_cols = ~np.isnan(g_diff[0])
-            sub_diff = g_diff[:, diff_cols] if diff_cols.any() else None
-        if sub_mm.shape[1] == 0:
-            keep[rows] = True  # no comparable dimension -> nothing dominates
-            continue
-        keep[rows] = bnl_skyline_mask(sub_mm, sub_diff)
+        keep[rows] = _block_bnl(mm[rows], None if diff is None else diff[rows])
     return keep
 
 

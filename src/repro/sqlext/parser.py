@@ -102,7 +102,6 @@ class ParsedSkylineQuery:
     spec: SkylineSpec
     order_by: Optional[str] = None
     limit: Optional[int] = None
-    original: str = ""
 
 
 def _find_skyline(tokens: list[Token]) -> Optional[int]:
@@ -119,7 +118,6 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
     caller then passes it to Spark SQL verbatim — the integration has
     no effect on non-skyline queries, §5.9).
     """
-    original = query
     query = query.rstrip()
     while query.endswith(";"):
         query = query[:-1].rstrip()
@@ -198,6 +196,4 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
         trailing = query[tokens[k].start :]
         if trailing.strip(" ;\n\t"):
             raise SkylineParseError(f"unexpected trailing input after skyline clause: {trailing!r}")
-    return ParsedSkylineQuery(
-        base_sql=base_sql, spec=spec, order_by=order_by, limit=limit, original=original
-    )
+    return ParsedSkylineQuery(base_sql=base_sql, spec=spec, order_by=order_by, limit=limit)

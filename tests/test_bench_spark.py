@@ -6,7 +6,7 @@ import pytest
 from repro.bench.harness import (
     TIMEOUT_SECONDS, build_cell_df, clear_cache, input_df, run_cell, timed_action,
 )
-from repro.bench.report import render_table, results_to_json
+from repro.bench.report import load_results, render_section, results_path, results_to_json
 from repro.bench.tables import (
     COMPLETE_ALGOS, INCOMPLETE_ALGOS, SS_SCALE, TABLES, table_def,
 )
@@ -158,14 +158,14 @@ class TestReport:
 
     def test_render_contains_both_views(self):
         td = table_def(3)
-        md = render_table(td, self._fake_results(td))
-        assert "Relative to reference" in md and "Absolute seconds" in md
+        md = render_section(td, self._fake_results(td))
+        assert "Ours (% of our reference)" in md and "Absolute seconds (ours)" in md
         assert "100.00%" in md
 
     def test_render_timeout_marker(self):
         td = table_def(3)
         results = {(v, a): None for v in td.sweep_values for a in td.algorithms}
-        md = render_table(td, results)
+        md = render_section(td, results)
         assert "t.o." in md and "n.a." in md
 
     def test_json_round_trip(self):
@@ -175,3 +175,17 @@ class TestReport:
         payload = json.loads(results_to_json(td, self._fake_results(td)))
         assert payload["table"] == 4
         assert len(payload["cells"]) == len(list(td.cells()))
+
+    def test_load_results_reads_what_was_written(self, tmp_path):
+        td = table_def(4)
+        results = self._fake_results(td)
+        assert load_results(str(tmp_path), 4) is None
+        with open(results_path(str(tmp_path), 4), "w") as f:
+            f.write(results_to_json(td, results))
+        assert load_results(str(tmp_path), 4) == results
+
+    def test_render_without_results_names_the_job(self):
+        md = render_section(table_def(4), None, "A note.")
+        assert "no reproduction results found" in md
+        assert "`python jobs/run_table.py --table 4`" in md
+        assert "Ours" not in md and md.endswith("A note.\n")

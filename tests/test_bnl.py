@@ -27,10 +27,11 @@ class TestBnlComplete:
         mask = bnl.bnl_skyline_mask(arr([1, 1], [1, 1], [2, 2]), None)
         np.testing.assert_array_equal(mask, [True, True, False])
 
-    def test_window_eviction(self):
+    def test_window_eviction(self, monkeypatch):
         # A later, better tuple must evict earlier window entries; blocks
         # of one row put each tuple in the window before the next arrives.
-        mask = bnl.bnl_skyline_mask(arr([5, 5], [3, 3], [1, 1]), None, chunk=1)
+        monkeypatch.setattr(bnl, "_CHUNK", 1)
+        mask = bnl.bnl_skyline_mask(arr([5, 5], [3, 3], [1, 1]), None)
         np.testing.assert_array_equal(mask, [False, False, True])
 
     def test_diff_partitions_dominance(self):
@@ -47,12 +48,14 @@ class TestBnlComplete:
         with pytest.raises(ValueError, match="complete"):
             bnl.bnl_skyline_mask(arr([1]), arr([np.nan]))
 
-    def test_chunking_boundaries(self):
+    def test_chunking_boundaries(self, monkeypatch):
         rng = np.random.default_rng(3)
         mm = rng.integers(0, 10, size=(300, 2)).astype(float)
-        full = bnl.bnl_skyline_mask(mm, None, chunk=2048)
+        monkeypatch.setattr(bnl, "_CHUNK", 2048)
+        full = bnl.bnl_skyline_mask(mm, None)
         for chunk in (1, 7, 64, 299, 300, 301):
-            np.testing.assert_array_equal(bnl.bnl_skyline_mask(mm, None, chunk=chunk), full)
+            monkeypatch.setattr(bnl, "_CHUNK", chunk)
+            np.testing.assert_array_equal(bnl.bnl_skyline_mask(mm, None), full)
 
     def test_anticorrelated_everyone_survives(self):
         n = 50
@@ -114,10 +117,10 @@ def test_block_bnl_matches_naive(chunk, d, j, n, seed, specials):
         for x in (mm,) if diff is None else (mm, diff):
             hit = rng.random(x.shape) < 0.3
             x[hit] = rng.choice(_SIGNED_ZERO_AND_INF, size=int(hit.sum()))
-    np.testing.assert_array_equal(
-        bnl.bnl_skyline_mask(mm, diff, chunk=chunk),
-        naive_skyline_mask(mm, diff, incomplete=False),
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bnl, "_CHUNK", chunk)
+        got = bnl.bnl_skyline_mask(mm, diff)
+    np.testing.assert_array_equal(got, naive_skyline_mask(mm, diff, incomplete=False))
 
 
 class TestIncompleteLocal:
@@ -161,6 +164,40 @@ class TestIncompleteLocal:
         local = bnl.incomplete_local_skyline_mask(mm, None)
         g = bnl.incomplete_global_skyline_mask(mm, None)
         assert (local | ~g).all()  # global skyline ⊆ local survivors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 3, 512]),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 60),
+    st.integers(0, 10_000),
+)
+def test_incomplete_local_matches_naive_per_bitmap_group(chunk, d, j, n, seed):
+    """Each null-bitmap group keeps exactly its own null-aware skyline.
+
+    ``j`` DIFF columns (none when 0); NULL in about 30% of the MIN/MAX
+    and of the DIFF values, so groups differ in DIFF NULLs too.
+    """
+    rng = np.random.default_rng(seed)
+    mm = rng.integers(0, 4, size=(n, d)).astype(float)
+    mm[rng.random((n, d)) < 0.3] = np.nan
+    diff = None
+    nulls = np.isnan(mm)
+    if j:
+        diff = rng.integers(0, 2, size=(n, j)).astype(float)
+        diff[rng.random((n, j)) < 0.3] = np.nan
+        nulls = np.hstack([nulls, np.isnan(diff)])
+    expected = np.zeros(n, dtype=bool)
+    for bitmap in np.unique(nulls, axis=0):
+        rows = (nulls == bitmap).all(axis=1)
+        expected[rows] = naive_skyline_mask(
+            mm[rows], None if diff is None else diff[rows], incomplete=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bnl, "_CHUNK", chunk)
+        got = bnl.incomplete_local_skyline_mask(mm, diff)
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestIncompleteGlobal:

@@ -1,27 +1,72 @@
-"""Import smoke test for the entry scripts under jobs/ and benchmarks/.
+"""Tests of the entry scripts under jobs/ and benchmarks/.
 
 Nothing else imports these scripts, so a library name they use could
-disappear without any other test noticing.  Importing a module runs
-its top-level imports but not ``main()``.
+disappear without any other test noticing: each is imported once,
+which runs its top-level imports but not ``main()``.  The table runner
+is also run without Spark, and EXPERIMENTS.md is checked to be the
+generator's output.
 """
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
+
+from repro.bench.report import load_results
+from repro.bench.tables import table_def
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = sorted(p.stem for p in (ROOT / "jobs").glob("*.py"))
 BENCHMARKS = sorted(p.stem for p in (ROOT / "benchmarks").glob("*.py"))
 
 
-@pytest.mark.parametrize("name", JOBS)
-def test_job_imports(monkeypatch, name):
+def _job(monkeypatch, name):
     # Jobs are run as ``python jobs/x.py``, so their own directory is on
     # the path and they import each other by bare name.
     monkeypatch.syspath_prepend(str(ROOT / "jobs"))
-    importlib.import_module(name)
+    return importlib.import_module(name)
+
+
+@pytest.mark.parametrize("name", JOBS)
+def test_job_imports(monkeypatch, name):
+    _job(monkeypatch, name)
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
 def test_benchmark_imports(name):
     importlib.import_module(f"benchmarks.{name}")
+
+
+def test_run_table_writes_json_and_prints_section(monkeypatch, tmp_path, capsys):
+    """``run_table`` without Spark: ``run_cell`` returns fixed seconds, and
+    ``None`` (timed out) for the 6-dimension reference cell."""
+    run_table = _job(monkeypatch, "run_table")
+    calls = []
+
+    def fake_run_cell(spark, *, algorithm, dims, timeout_s, **cell):
+        calls.append((algorithm, dims, timeout_s, cell))
+        return None if (algorithm, dims) == ("reference", 6) else 1.5
+
+    monkeypatch.setattr(run_table, "run_cell", fake_run_cell)
+    tdef = table_def(4)
+    results = run_table.run_table(None, 4, 7.0, str(tmp_path))
+
+    assert len(calls) == len(list(tdef.cells()))
+    assert all(t == 7.0 and set(c) == {"dataset", "complete", "n", "executors"}
+               for _, _, t, c in calls)
+    assert load_results(str(tmp_path), 4) == results
+    assert results[6, "reference"] is None and results[1, "reference"] == 1.5
+    out = capsys.readouterr().out
+    assert out.startswith(f"## Table 4 — {tdef.caption}")
+    assert "| reference | 1.50 s | 1.50 s | 1.50 s | 1.50 s | 1.50 s | t.o. |" in out
+    assert "| distributed incomplete | 100.00% |" in out and "| n.a. |" in out
+
+
+def test_experiments_md_is_generated(monkeypatch, tmp_path):
+    """EXPERIMENTS.md is exactly what make_experiments_md builds from results/."""
+    make = _job(monkeypatch, "make_experiments_md")
+    out = tmp_path / "EXPERIMENTS.md"
+    monkeypatch.setattr(sys, "argv", ["make_experiments_md.py", "--results",
+                                      str(ROOT / "results"), "--out", str(out)])
+    make.main()
+    assert out.read_text() == (ROOT / "EXPERIMENTS.md").read_text()
