@@ -24,25 +24,29 @@ Four executable algorithms, named as in §6.3 / the performance charts:
 query says ``COMPLETE`` or every skyline dimension is non-nullable.
 
 Skyline dimensions may be arbitrary numeric, boolean or timestamp SQL
-expressions (any other type is rejected when the DataFrame is built);
-they are materialized into internal ``__sky_d<i>`` double columns for
-the duration of the operator and dropped afterwards.  (Evaluating
+expressions (any other type is rejected when the DataFrame is built).
+A dimension that names one double column of the child is read from
+that column in place; every other dimension is materialized into an
+internal ``__sky_d<i>`` double column for the duration of the operator
+and dropped afterwards.  (Evaluating
 dimensions as float64 — NaN for NULL — substitutes the paper's
 per-datatype dispatch; exact for the integer/decimal/boolean
 dimensions used throughout the evaluation.)
 """
 from __future__ import annotations
 
+import re
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import BooleanType, NumericType, TimestampType
+from pyspark.sql.types import (BooleanType, DoubleType, NumericType, StructField,
+                               TimestampType)
 
 from . import bnl
 from .dominance import normalize_matrix
-from .spec import DimType, SkylineSpec
+from .spec import DimType, SkylineDimension, SkylineSpec
 
 __all__ = [
     "ALGORITHMS",
@@ -62,18 +66,37 @@ ALGORITHMS = (
 )
 
 _DIM_PREFIX = "__sky_d"
+# An unquoted identifier that Spark SQL does not parse as a literal.
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_LITERALS = {"true", "false", "null"}
 
 
-def _dim_cols(spec: SkylineSpec) -> list[str]:
-    return [f"{_DIM_PREFIX}{i}" for i in range(len(spec.dimensions))]
+def _in_place_field(df: DataFrame, expr: str) -> Optional[StructField]:
+    """The double column of ``df`` that dimension ``expr`` names, else None.
+
+    Only a plain identifier that names exactly one column, in the same
+    case and with no case-insensitive twin, is read in place; anything
+    else is left to Catalyst to resolve (or to reject as ambiguous).
+    """
+    if not _IDENTIFIER.fullmatch(expr) or expr.lower() in _LITERALS:
+        return None
+    twins = [f for f in df.schema.fields if f.name.lower() == expr.lower()]
+    if len(twins) == 1 and twins[0].name == expr and isinstance(twins[0].dataType, DoubleType):
+        return twins[0]
+    return None
 
 
-def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list[str], bool]:
-    """Append one double column per skyline dimension expression.
+def _materialize_dims(df: DataFrame,
+                      spec: SkylineSpec) -> tuple[DataFrame, list[str], list[str], bool]:
+    """Give every skyline dimension a double column the stages can read.
 
-    Returns the extended DataFrame, the names of the appended columns,
-    and whether any dimension is nullable as Catalyst derives it for
-    the expression over ``df``'s output (Listing 8's input).
+    A dimension that names one double column of ``df`` is read from
+    that column in place; every other one is appended as a
+    ``__sky_d<i>`` double column.  Returns the (possibly extended)
+    DataFrame, each dimension's column name in clause order, the names
+    of the appended columns, and whether any dimension is nullable as
+    Catalyst derives it for the expression over ``df``'s output
+    (Listing 8's input).
 
     Raises ``ValueError`` when the DataFrame is built, not when it runs,
     if a dimension is not numeric, boolean or timestamp: its values
@@ -84,24 +107,56 @@ def _materialize_dims(df: DataFrame, spec: SkylineSpec) -> tuple[DataFrame, list
     for c in df.columns:
         if c.startswith(_DIM_PREFIX):
             raise ValueError(f"input column {c!r} collides with internal skyline columns")
-    cols = _dim_cols(spec)
-    exprs = [F.expr(d.expr) for d in spec.dimensions]
-    fields = df.select(*[e.alias(c) for e, c in zip(exprs, cols)]).schema.fields
-    for d, field in zip(spec.dimensions, fields):
+    cols: list[str] = []
+    fields: list[StructField] = []
+    appended: dict[str, SkylineDimension] = {}
+    for i, d in enumerate(spec.dimensions):
+        field = _in_place_field(df, d.expr)
+        if field is None:
+            cols.append(f"{_DIM_PREFIX}{i}")
+            appended[cols[-1]] = d
+        else:
+            cols.append(d.expr)
+            fields.append(field)
+    if not appended:
+        return df, cols, [], any(f.nullable for f in fields)
+    exprs = {c: F.expr(d.expr) for c, d in appended.items()}
+    probed = df.select(*[e.alias(c) for c, e in exprs.items()]).schema.fields
+    for d, field in zip(appended.values(), probed):
         if not isinstance(field.dataType, (NumericType, BooleanType, TimestampType)):
             raise ValueError(
                 f"skyline dimension {d.sql()!r} has type {field.dataType.simpleString()}; "
                 "only numeric, boolean and timestamp dimensions are supported"
             )
-    out = df.select("*", *[e.cast("double").alias(c) for e, c in zip(exprs, cols)])
-    return out, cols, any(f.nullable for f in fields)
+    out = df.select("*", *[e.cast("double").alias(c) for c, e in exprs.items()])
+    return out, cols, list(appended), any(f.nullable for f in fields + probed)
 
 
-def _drop_dims(out: DataFrame, spec: SkylineSpec, cols: list[str]) -> DataFrame:
-    """Closing step of every lowering: DISTINCT on the dimensions, then drop them."""
+def _drop_dims(out: DataFrame, spec: SkylineSpec, cols: list[str],
+               appended: list[str]) -> DataFrame:
+    """Closing step of every lowering: DISTINCT on the dimensions, then
+    drop the columns :func:`_materialize_dims` appended."""
     if spec.distinct:
         out = out.dropDuplicates(cols)
-    return out.drop(*cols)
+    return out.drop(*appended) if appended else out
+
+
+def _built_cache_partitions(df: DataFrame) -> Optional[int]:
+    """Partition count of ``df``'s cache if ``df`` is persisted and its
+    cache is built, else None (unknown).
+
+    Reads the JVM ``InMemoryRelation`` Spark substitutes for a
+    persisted plan; asking whether its column buffers are loaded and
+    how many partitions they have starts no job (``df.rdd`` would
+    plan, and on an unbuilt cache run, the child).
+    """
+    relation = df._jdf.queryExecution().withCachedData()
+    if relation.nodeName() != "InMemoryRelation":
+        return None
+    builder = relation.cacheBuilder()
+    if not builder.isCachedColumnBuffersLoaded():
+        return None
+    return builder.cachedColumnBuffers().getNumPartitions()
 
 
 def check_hints(algorithm: Optional[str], parallelism: Optional[int]) -> None:
@@ -170,8 +225,12 @@ _STAGES = {
 
 
 def _local_global(df: DataFrame, spec: SkylineSpec, cols: list[str], algorithm: str,
-                  parallelism: Optional[int]) -> DataFrame:
-    """Local skyline per partition, then the global skyline on one partition."""
+                  parallelism: Optional[int], child: DataFrame) -> DataFrame:
+    """Local skyline per partition, then the global skyline on one partition.
+
+    ``df`` is ``child`` with the appended dimension columns, a narrow
+    projection that keeps ``child``'s partitions.
+    """
     local_fn, global_fn = _STAGES[algorithm]
     if local_fn is not None:
         keys = []
@@ -181,7 +240,9 @@ def _local_global(df: DataFrame, spec: SkylineSpec, cols: list[str], algorithm: 
             # groups by exact bitmap internally, so correctness does not
             # depend on how hash partitioning buckets the bitmaps.
             keys = [F.isnull(F.col(c)) for c in cols]
-        if parallelism is not None:
+        # Unkeyed, a built cache with ``parallelism`` partitions already is
+        # the local stage's distribution: shuffling it again changes nothing.
+        if parallelism is not None and (keys or parallelism != _built_cache_partitions(child)):
             df = df.repartition(parallelism, *keys)
         elif keys:
             df = df.repartition(*keys)
@@ -266,7 +327,7 @@ def single_dim_skyline(df: DataFrame, spec: SkylineSpec) -> DataFrame:
     if len(spec.minmax_dims) != 1 or spec.diff_dims:
         raise ValueError("single_dim_skyline requires exactly one MIN/MAX dim and no DIFF dims")
     dim = spec.minmax_dims[0]
-    work, cols, _ = _materialize_dims(df, spec)
+    work, cols, appended, _ = _materialize_dims(df, spec)
     c = cols[0]
     opt_col = f"{_DIM_PREFIX}_opt"  # in the prefix _materialize_dims reserves
     agg_fn = F.min if dim.dim_type is DimType.MIN else F.max
@@ -275,7 +336,7 @@ def single_dim_skyline(df: DataFrame, spec: SkylineSpec) -> DataFrame:
     cond = F.col(c) == F.col(opt_col)
     if not spec.complete:
         cond = cond | F.col(c).isNull()
-    return _drop_dims(joined.where(cond).drop(opt_col), spec, cols)
+    return _drop_dims(joined.where(cond).drop(opt_col), spec, cols, appended)
 
 
 def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
@@ -288,13 +349,18 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
     against each other).  ``parallelism`` simulates the paper's
     executor count: it is the partition count of the local-skyline
     stage (None = keep the child's partitioning, the paper's
-    ``UnspecifiedDistribution`` default).
+    ``UnspecifiedDistribution`` default).  The ``distributed_complete``
+    local stage shuffles its input into ``parallelism`` partitions
+    unless ``df`` is persisted and its cache is already built with
+    exactly that many partitions; ``distributed_incomplete`` always
+    shuffles, keyed on the null bitmap (§5.7).  Building the result
+    starts no Spark job.
     """
     check_hints(algorithm, parallelism)
-    work, cols, nullable = _materialize_dims(df, spec)
+    work, cols, appended, nullable = _materialize_dims(df, spec)
     algorithm = algorithm or select_algorithm(spec, nullable)
     if algorithm == "reference":
         out = reference_skyline(work, spec, cols)
     else:
-        out = _local_global(work, spec, cols, algorithm, parallelism)
-    return _drop_dims(out, spec, cols)
+        out = _local_global(work, spec, cols, algorithm, parallelism, df)
+    return _drop_dims(out, spec, cols, appended)

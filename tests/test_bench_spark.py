@@ -132,8 +132,8 @@ class TestHarness:
                       executors=2, algorithm="reference")
         assert rendered == [
             "SELECT * FROM {df} AS o WHERE NOT EXISTS (SELECT 1 FROM {df} AS i WHERE "
-            "(i.__sky_d0 <= o.__sky_d0) AND (i.__sky_d1 >= o.__sky_d1) AND "
-            "((i.__sky_d0 < o.__sky_d0) OR (i.__sky_d1 > o.__sky_d1)))"
+            "(i.price <= o.price) AND (i.accommodates >= o.accommodates) AND "
+            "((i.price < o.price) OR (i.accommodates > o.accommodates)))"
         ]
 
     def test_run_cell_returns_time(self, spark):

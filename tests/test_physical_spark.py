@@ -5,11 +5,15 @@ for complete data, the DuckDB-executed Listing-4 rewrite) — §5.9's
 "intensively tested ... verified against the equivalent plain SQL".
 """
 import datetime
+import threading
+import time
+import uuid
 from decimal import Decimal
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.api import skyline
 from repro.core import physical
@@ -21,6 +25,11 @@ from repro.sqlext import sky_sql
 from tests.helpers import assert_skyline_equals_oracle, skyline_oracle_pandas
 
 SPECIALIZED = [a for a in ALGORITHMS if a != "reference"]
+
+
+def executed_plan(df) -> str:
+    """The physical plan Spark will run for ``df``, as ``explain`` prints it."""
+    return df._jdf.queryExecution().executedPlan().toString()
 
 
 def make_pdf(seed: int, n: int = 300, *, ties: bool = True, null_rate: float = 0.0) -> pd.DataFrame:
@@ -289,3 +298,161 @@ class TestAlgorithmSelection:
         spec = spec_of(smin("a"), smax("b"))
         out = compute_skyline(df, spec)
         assert_skyline_equals_oracle(out, pdf, spec, incomplete=True)
+
+
+def four_partition_df(spark, n: int = 300):
+    """``n`` rows with tied double dims ``a``, ``b``, ``c`` in 4 partitions,
+    with no shuffle in their plan."""
+    return spark.range(0, n, 1, 4).selectExpr(
+        "id", "double(id * 7 % 6) AS a", "double(id * 11 % 6) AS b", "double(id * 13 % 4) AS c")
+
+
+@pytest.fixture(scope="module")
+def cached4(spark):
+    """``four_partition_df`` persisted with its cache built, and its rows."""
+    df = four_partition_df(spark).persist()
+    df.count()
+    yield df, df.toPandas()
+    df.unpersist()
+
+
+class TestLocalStageShuffle:
+    """The unkeyed local stage reuses a built cache's partitions (§5.6)."""
+
+    SPEC = spec_of(smin("a"), smax("b"), smin("c"), complete=True)
+
+    def test_built_cache_with_parallelism_partitions_not_reshuffled(self, cached4):
+        df, pdf = cached4
+        out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=4)
+        plan = executed_plan(out)
+        assert "RoundRobinPartitioning(4)" not in plan
+        assert plan.count("Exchange") == 1  # only the global stage's repartition(1)
+        assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
+
+    def test_other_parallelism_reshuffles(self, cached4):
+        df, pdf = cached4
+        out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=3)
+        assert "RoundRobinPartitioning(3)" in executed_plan(out)
+        assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
+
+    def test_unpersisted_child_reshuffles(self, spark):
+        # Not ``cached4``'s plan: Spark would read an equal plan from its cache.
+        df = four_partition_df(spark, n=301)
+        pdf = df.toPandas()
+        out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=4)
+        assert "RoundRobinPartitioning(4)" in executed_plan(out)
+        assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
+
+    def test_building_starts_no_job(self, spark):
+        # A persisted aggregate whose cache is not built: asking it for its
+        # partitions through ``df.rdd`` would run the aggregation.
+        agg = (spark.range(0, 1000, 1, 4)
+               .groupBy((F.col("id") % 37).alias("k"))
+               .agg(F.max(F.col("id") % 11).cast("double").alias("hi"),
+                    F.count("*").cast("double").alias("n"))
+               .persist())
+        sc = spark.sparkContext
+        plan_group, run_group = (f"sky-{uuid.uuid4().hex[:8]}" for _ in range(2))
+        result = {}
+
+        def build_then_run():
+            sc.setJobGroup(plan_group, "build a skyline")
+            out = skyline(agg, smin("hi"), smax("n"), complete=True, parallelism=4)
+            sc.setJobGroup(run_group, "run it")
+            result["rows"] = out.count()
+
+        try:
+            th = threading.Thread(target=build_then_run)
+            th.start()
+            th.join(120)
+            # Job events reach the status tracker asynchronously but in order:
+            # once the run's jobs show, any job started while building would too.
+            deadline = time.monotonic() + 30
+            while not sc.statusTracker().getJobIdsForGroup(run_group):
+                assert time.monotonic() < deadline, "the run's jobs never showed"
+                time.sleep(0.05)
+            assert result["rows"] > 0
+            assert list(sc.statusTracker().getJobIdsForGroup(plan_group)) == []
+        finally:
+            agg.unpersist()
+
+
+class TestInPlaceDimensions:
+    """A dimension naming one double column is read in place, not copied."""
+
+    @pytest.mark.parametrize("algorithm", SPECIALIZED)
+    def test_double_columns_add_no_internal_column(self, spark, algorithm):
+        pdf = make_pdf(60)
+        spec = spec_of(smin("a"), smax("b"), smin("c"), complete=True)
+        out = compute_skyline(spark.createDataFrame(pdf), spec, algorithm=algorithm)
+        assert "__sky_d" not in executed_plan(out)
+        assert_skyline_equals_oracle(out, pdf, spec, incomplete=False)
+
+    @pytest.mark.parametrize("algorithm", SPECIALIZED)
+    def test_only_non_double_dims_appended(self, spark, algorithm):
+        pdf = make_pdf(61).assign(k=lambda p: p["c"].astype("int64"))
+        spec = spec_of(smin("a"), smax("k"), smin("b + c"), complete=True)
+        out = compute_skyline(spark.createDataFrame(pdf), spec, algorithm=algorithm)
+        plan = executed_plan(out)
+        assert "__sky_d0" not in plan
+        assert "__sky_d1" in plan and "__sky_d2" in plan
+        assert out.columns == list(pdf.columns)
+        expected = skyline_oracle_pandas(pdf.assign(**{"b + c": pdf.b + pdf.c}), spec,
+                                         incomplete=False)
+        assert sorted(out.toPandas()["id"]) == sorted(expected["id"])
+
+    @pytest.mark.parametrize("algorithm", SPECIALIZED)
+    def test_one_column_as_min_and_max(self, spark, algorithm):
+        # The spec rejects ``smin("a"), smax("a")``; ``A`` names the same
+        # column in another case, so it is appended and ``a`` read in place.
+        pdf = make_pdf(62)
+        spec = spec_of(smin("a"), smax("A"), complete=True)
+        out = compute_skyline(spark.createDataFrame(pdf), spec, algorithm=algorithm)
+        assert "__sky_d0" not in executed_plan(out) and "__sky_d1" in executed_plan(out)
+        expected = skyline_oracle_pandas(pdf.assign(A=pdf.a), spec, incomplete=False)
+        assert len(expected) == len(pdf)  # no row beats another on both ends
+        assert sorted(out.toPandas()["id"]) == sorted(expected["id"])
+
+    @pytest.mark.parametrize("algorithm", SPECIALIZED)
+    def test_nan_values_behave_as_cast_path(self, spark, algorithm):
+        # Real NaN (not NULL) in a double column: read in place it must act
+        # exactly as the appended ``cast(x AS double)`` copy of it does.
+        df = spark.createDataFrame(make_pdf(63)).selectExpr(
+            "id", "IF(id % 7 = 0, double('NaN'), a) AS x", "b")
+
+        def run(dim):
+            spec = spec_of(smin(dim), smax("b"))
+            try:
+                return sorted(compute_skyline(df, spec, algorithm=algorithm)
+                              .toPandas()["id"])
+            except Exception as exc:  # the complete kernels reject NaN
+                return type(exc)
+
+        got = run("x")
+        assert got == run("cast(x AS double)")
+        if algorithm == "distributed_incomplete":  # NaN counts as NULL
+            expected = skyline_oracle_pandas(df.toPandas(), spec_of(smin("x"), smax("b")),
+                                             incomplete=True)
+            assert got == sorted(expected["id"])
+        else:
+            assert issubclass(got, Exception)
+
+    def test_literal_is_not_read_as_column(self, spark):
+        # ``true`` is the boolean literal in Spark SQL, even over a column
+        # named ``true``: a constant dimension, so only ``a`` decides.
+        pdf = make_pdf(65).rename(columns={"b": "true"})
+        out = compute_skyline(spark.createDataFrame(pdf), spec_of(smin("true"), smin("a")),
+                              algorithm="distributed_complete")
+        assert sorted(out.toPandas()["id"]) == sorted(pdf["id"][pdf["a"] == pdf["a"].min()])
+
+    @pytest.mark.parametrize("algorithm", SPECIALIZED)
+    def test_distinct_over_in_place_dims(self, spark, algorithm):
+        pdf = make_pdf(64)
+        spec = spec_of(smin("a"), smax("b"), distinct=True, complete=True)
+        out = compute_skyline(spark.createDataFrame(pdf), spec, algorithm=algorithm)
+        assert "__sky_d" not in executed_plan(out)
+        got = out.toPandas()
+        expected = skyline_oracle_pandas(pdf, spec, incomplete=False)
+        assert len(got) == len(got[["a", "b"]].drop_duplicates())
+        assert (set(map(tuple, got[["a", "b"]].to_numpy()))
+                == set(map(tuple, expected[["a", "b"]].to_numpy())))
