@@ -7,7 +7,9 @@ NaN.
 
 The physical layer runs the kernel in ``mapInArrow`` stages over
 Arrow buffers: :func:`normalize_matrix` builds the matrices from the
-Arrow columns without pandas.
+Arrow columns without pandas.  The dimension columns arrive as Spark
+types them (integer, decimal, float, boolean or timestamp); this
+module is the only place they become float64.
 
 Matrix layout: ``mm`` is the (n, k) matrix of MIN/MAX values (already
 normalized), ``diff`` is the (n, j) matrix of DIFF values (or None if
@@ -36,23 +38,52 @@ from .spec import DimType, SkylineSpec
 __all__ = ["normalize_matrix", "dominated_mask"]
 
 
-def _arrow_column(chunked: pa.ChunkedArray) -> np.ndarray:
-    """A float64 copy of an Arrow double column, NULL as NaN.
+# The Arrow types Spark sends for numeric dimension columns, read from
+# the data buffer as these NumPy types.
+_NUMPY_TYPES = {pa.int8(): np.int8, pa.int16(): np.int16, pa.int32(): np.int32,
+                pa.int64(): np.int64, pa.float32(): np.float32, pa.float64(): np.float64}
 
-    Reads each chunk's validity and data buffers directly (honouring
-    the chunk's ``offset``), because ``Array.to_numpy`` and
-    ``np.asarray`` import pandas on first use and a stage worker never
-    needs it.
+
+def _chunk_values(chunk: pa.Array) -> np.ndarray:
+    """The float64 values of one Arrow chunk, NULL slots unspecified.
+
+    Integers and floats convert as Spark's cast to double does; a
+    timestamp is its int64 count since the epoch (microseconds, as
+    Spark sends it: exact within ±285 years of 1970); a boolean is 0 or
+    1; a decimal is its two's-complement 128-bit unscaled value, as
+    (high word + borrow) * 2^64 + signed low word, over ``10**scale``.
     """
-    if chunked.type != pa.float64():
-        raise TypeError(f"expected an Arrow double column, got {chunked.type}")
+    t, lo, n = chunk.type, chunk.offset, len(chunk)
+    data = chunk.buffers()[1]
+    if pa.types.is_boolean(t):
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=lo + n, bitorder="little")
+        return bits[lo:].astype(np.float64)
+    if pa.types.is_decimal128(t):
+        words = np.frombuffer(data, dtype=np.int64, count=2 * (lo + n))[2 * lo:]
+        low, high = words[0::2], words[1::2]
+        return ((high + (low < 0)) * 2.0 ** 64 + low) / 10.0 ** t.scale
+    dtype = np.int64 if pa.types.is_timestamp(t) else _NUMPY_TYPES.get(t)
+    if dtype is None:
+        raise TypeError(f"skyline dimension column has Arrow type {t}; expected a "
+                        "numeric, boolean or timestamp column")
+    return np.frombuffer(data, dtype=dtype, count=lo + n)[lo:].astype(np.float64, copy=False)
+
+
+def _arrow_column(chunked: pa.ChunkedArray) -> np.ndarray:
+    """A float64 copy of an Arrow dimension column, NULL as NaN.
+
+    The one place a dimension becomes float64.  Reads each chunk's
+    validity and data buffers directly (honouring the chunk's
+    ``offset``): ``Array.to_numpy`` and ``np.asarray`` import pandas,
+    and ``Array.cast`` imports ``pyarrow.compute``, which a stage
+    worker never needs.
+    """
     parts = []
     for chunk in chunked.chunks:
-        lo, n = chunk.offset, len(chunk)
-        validity, data = chunk.buffers()
-        v = np.frombuffer(data, dtype=np.float64, count=lo + n)[lo:]
+        v = _chunk_values(chunk)
         if chunk.null_count:
-            valid = np.unpackbits(np.frombuffer(validity, dtype=np.uint8),
+            lo, n = chunk.offset, len(chunk)
+            valid = np.unpackbits(np.frombuffer(chunk.buffers()[0], dtype=np.uint8),
                                   count=lo + n, bitorder="little")[lo:]
             v = np.where(valid, v, np.nan)
         parts.append(v)
@@ -63,23 +94,22 @@ def _arrow_column(chunked: pa.ChunkedArray) -> np.ndarray:
 def normalize_matrix(data, spec: SkylineSpec, cols: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
     """Extract (mm, diff) float64 matrices from ``data``.
 
-    ``data`` is a ``pyarrow.Table`` whose ``cols`` are double columns
-    (what the ``mapInArrow`` stages receive) or a pandas DataFrame with
-    numeric ``cols``.  ``cols`` gives the materialized column name of
-    each dimension in clause order (dimension expressions are
-    pre-evaluated into columns by the physical layer).  MAX columns are
-    negated; NULL becomes NaN.
+    ``data`` is a ``pyarrow.Table`` (what the ``mapInArrow`` stages
+    receive) or a pandas DataFrame, which is converted to one first.
+    ``cols`` gives the column holding each dimension in clause order
+    (dimension expressions are pre-evaluated into columns by the
+    physical layer); each is numeric, boolean or timestamp, as Spark
+    types it, and becomes float64 here.  MAX columns are negated; NULL
+    (and a pandas NaN) becomes NaN.
     """
     if len(cols) != len(spec.dimensions):
         raise ValueError("cols must align 1:1 with spec.dimensions")
-    arrow = isinstance(data, pa.Table)
+    if not isinstance(data, pa.Table):
+        data = pa.Table.from_pandas(data[list(cols)], preserve_index=False)
     mm_cols: list[np.ndarray] = []
     diff_cols: list[np.ndarray] = []
     for dim, col in zip(spec.dimensions, cols):
-        if arrow:
-            v = _arrow_column(data.column(col))
-        else:
-            v = data[col].to_numpy(dtype=np.float64, na_value=np.nan)
+        v = _arrow_column(data.column(col))
         if dim.dim_type is DimType.MAX:
             v = -v
         (diff_cols if dim.dim_type is DimType.DIFF else mm_cols).append(v)

@@ -25,13 +25,16 @@ query says ``COMPLETE`` or every skyline dimension is non-nullable.
 
 Skyline dimensions may be arbitrary numeric, boolean or timestamp SQL
 expressions (any other type is rejected when the DataFrame is built).
-A dimension that names one double column of the child is read from
-that column in place; every other dimension is materialized into an
-internal ``__sky_d<i>`` double column for the duration of the operator
-and dropped afterwards.  (Evaluating
-dimensions as float64 — NaN for NULL — substitutes the paper's
-per-datatype dispatch; exact for the integer/decimal/boolean
-dimensions used throughout the evaluation.)
+A dimension that names one column of the child is read from that
+column in place; every other dimension is materialized, with the type
+Spark gives it, into an internal ``__sky_d<i>`` column for the
+duration of the operator and dropped afterwards.  The reference, the
+single-dimension rewrite and DISTINCT compare these Spark values
+exactly.  The BNL stages compare them as float64 (NaN for NULL),
+converted in ``dominance.normalize_matrix``; this substitutes the
+paper's per-datatype dispatch and is exact while distinct values stay
+distinct as float64 (integers up to 2^53, decimals of up to 15
+significant digits, booleans, and timestamps as epoch microseconds).
 """
 from __future__ import annotations
 
@@ -41,12 +44,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import (BooleanType, DoubleType, NumericType, StructField,
-                               TimestampType)
+from pyspark.sql.types import BooleanType, NumericType, StructField, TimestampType
 
 from . import bnl
 from .dominance import normalize_matrix
-from .spec import DimType, SkylineDimension, SkylineSpec
+from .spec import DimType, SkylineSpec
 
 __all__ = [
     "ALGORITHMS",
@@ -72,7 +74,7 @@ _LITERALS = {"true", "false", "null"}
 
 
 def _in_place_field(df: DataFrame, expr: str) -> Optional[StructField]:
-    """The double column of ``df`` that dimension ``expr`` names, else None.
+    """The column of ``df`` that dimension ``expr`` names, else None.
 
     Only a plain identifier that names exactly one column, in the same
     case and with no case-insensitive twin, is read in place; anything
@@ -81,55 +83,45 @@ def _in_place_field(df: DataFrame, expr: str) -> Optional[StructField]:
     if not _IDENTIFIER.fullmatch(expr) or expr.lower() in _LITERALS:
         return None
     twins = [f for f in df.schema.fields if f.name.lower() == expr.lower()]
-    if len(twins) == 1 and twins[0].name == expr and isinstance(twins[0].dataType, DoubleType):
+    if len(twins) == 1 and twins[0].name == expr:
         return twins[0]
     return None
 
 
 def _materialize_dims(df: DataFrame,
                       spec: SkylineSpec) -> tuple[DataFrame, list[str], list[str], bool]:
-    """Give every skyline dimension a double column the stages can read.
+    """Give every skyline dimension a column the stages can read.
 
-    A dimension that names one double column of ``df`` is read from
-    that column in place; every other one is appended as a
-    ``__sky_d<i>`` double column.  Returns the (possibly extended)
-    DataFrame, each dimension's column name in clause order, the names
-    of the appended columns, and whether any dimension is nullable as
-    Catalyst derives it for the expression over ``df``'s output
-    (Listing 8's input).
+    A dimension that names one column of ``df`` is read from that
+    column in place; every other one is appended, uncast, as a
+    ``__sky_d<i>`` column, all of them in one ``select``.  Returns the
+    (possibly extended) DataFrame, each dimension's column name in
+    clause order, the names of the appended columns, and whether any
+    dimension is nullable as Catalyst derives it for the expression
+    over ``df``'s output (Listing 8's input).
 
     Raises ``ValueError`` when the DataFrame is built, not when it runs,
-    if a dimension is not numeric, boolean or timestamp: its values
-    have no double representation for the kernels to compare.  A
-    timestamp casts to its epoch seconds, which keep microseconds
-    exactly in float64 for present-day values.
+    if a dimension is not numeric, boolean or timestamp: the kernels
+    compare float64 values, and ``dominance.normalize_matrix`` converts
+    only those types.
     """
     for c in df.columns:
         if c.startswith(_DIM_PREFIX):
             raise ValueError(f"input column {c!r} collides with internal skyline columns")
-    cols: list[str] = []
-    fields: list[StructField] = []
-    appended: dict[str, SkylineDimension] = {}
-    for i, d in enumerate(spec.dimensions):
-        field = _in_place_field(df, d.expr)
-        if field is None:
-            cols.append(f"{_DIM_PREFIX}{i}")
-            appended[cols[-1]] = d
-        else:
-            cols.append(d.expr)
-            fields.append(field)
-    if not appended:
-        return df, cols, [], any(f.nullable for f in fields)
-    exprs = {c: F.expr(d.expr) for c, d in appended.items()}
-    probed = df.select(*[e.alias(c) for c, e in exprs.items()]).schema.fields
-    for d, field in zip(appended.values(), probed):
+    fields = [_in_place_field(df, d.expr) for d in spec.dimensions]
+    cols = [f"{_DIM_PREFIX}{i}" if f is None else f.name for i, f in enumerate(fields)]
+    appended = [i for i, f in enumerate(fields) if f is None]
+    if appended:
+        df = df.select("*", *[F.expr(spec.dimensions[i].expr).alias(cols[i]) for i in appended])
+        for i, field in zip(appended, df.schema.fields[-len(appended):]):
+            fields[i] = field
+    for d, field in zip(spec.dimensions, fields):
         if not isinstance(field.dataType, (NumericType, BooleanType, TimestampType)):
             raise ValueError(
                 f"skyline dimension {d.sql()!r} has type {field.dataType.simpleString()}; "
                 "only numeric, boolean and timestamp dimensions are supported"
             )
-    out = df.select("*", *[e.cast("double").alias(c) for c, e in exprs.items()])
-    return out, cols, list(appended), any(f.nullable for f in fields + probed)
+    return df, cols, [cols[i] for i in appended], any(f.nullable for f in fields)
 
 
 def _drop_dims(out: DataFrame, spec: SkylineSpec, cols: list[str],
@@ -193,9 +185,11 @@ def _make_stage(spec: SkylineSpec, cols: list[str], mask_fn):
     """Build a mapInArrow function keeping the rows of a partition that
     ``mask_fn(mm, diff)`` marks as its skyline.
 
-    The kernels' matrices are read straight from the Arrow buffers and
-    the mask is handed back as an Arrow bitmap, so no worker imports
-    pandas (``pa.array`` and ``Array.to_numpy`` would).
+    The kernels' matrices are read straight from the Arrow buffers, and
+    the kept rows are zero-copy slices of each run of True in the mask,
+    concatenated once.  So no worker imports pandas (``pa.array`` and
+    ``Array.to_numpy`` would) or ``pyarrow.compute`` (``Table.filter``
+    would, several MB of resident memory per worker).
     """
 
     def stage(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
@@ -204,9 +198,10 @@ def _make_stage(spec: SkylineSpec, cols: list[str], mask_fn):
             return
         table = pa.Table.from_batches(batches)
         mask = mask_fn(*normalize_matrix(table, spec, cols))
-        keep = pa.BooleanArray.from_buffers(
-            pa.bool_(), len(mask), [None, pa.py_buffer(np.packbits(mask, bitorder="little"))])
-        yield from table.filter(keep).to_batches()
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        runs = [table.slice(lo, hi - lo) for lo, hi in zip(edges[::2], edges[1::2])]
+        if runs:
+            yield from pa.concat_tables(runs).combine_chunks().to_batches()
 
     return stage
 

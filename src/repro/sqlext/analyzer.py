@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.errors import AnalysisException
 
 from ..core.spec import SkylineDimension, SkylineSpec
@@ -91,14 +91,14 @@ def _column_identifiers(expr: str) -> set[str]:
 class ResolvedSkylineQuery:
     """Outcome of analysis: a base query whose output covers every dimension.
 
-    ``base_sql`` may differ from the input (helper columns appended);
-    ``spec`` names each spliced dimension by its helper column and keeps
-    the others as written;
+    ``base`` is the analyzed base query, with helper columns appended
+    when some dimension needed them; ``spec`` names each spliced
+    dimension by its helper column and keeps the others as written;
     ``final_columns`` is the original output to re-project to after the
     skyline (empty tuple = no re-projection needed).
     """
 
-    base_sql: str
+    base: DataFrame
     spec: SkylineSpec
     final_columns: tuple[str, ...]
 
@@ -135,14 +135,15 @@ def resolve(spark: SparkSession, base_sql: str, spec: SkylineSpec) -> ResolvedSk
     base output column already has the helper prefix: Spark would find
     the helper's name ambiguous.
     """
-    base_cols = list(spark.sql(base_sql).columns)  # analysis only; no job runs
+    base = spark.sql(base_sql)  # analysis only; no job runs
+    base_cols = base.columns
     base_lower = {c.lower() for c in base_cols}
     missing = [
         d for d in spec.dimensions
         if _contains_aggregate(d.expr) or not _column_identifiers(d.expr) <= base_lower
     ]
     if not missing:
-        return ResolvedSkylineQuery(base_sql, spec, ())
+        return ResolvedSkylineQuery(base, spec, ())
     for c in base_cols:
         if c.lower().startswith(_HELPER_PREFIX):
             raise SkylineParseError(
@@ -154,7 +155,7 @@ def resolve(spark: SparkSession, base_sql: str, spec: SkylineSpec) -> ResolvedSk
         base_sql, [f"({d.expr}) AS {name}" for d, name in helper_names.items()]
     )
     try:
-        spark.sql(new_base).schema
+        base = spark.sql(new_base)
     except AnalysisException as exc:
         raise SkylineParseError(
             f"cannot resolve skyline dimension(s) {[d.expr for d in missing]} "
@@ -165,7 +166,7 @@ def resolve(spark: SparkSession, base_sql: str, spec: SkylineSpec) -> ResolvedSk
         SkylineDimension(helper_names.get(d, d.expr), d.dim_type) for d in spec.dimensions
     )
     return ResolvedSkylineQuery(
-        new_base,
+        base,
         SkylineSpec(new_dims, distinct=spec.distinct, complete=spec.complete),
         tuple(base_cols),
     )

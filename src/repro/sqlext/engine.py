@@ -39,7 +39,7 @@ def sky_sql(spark: SparkSession, query: str, *,
 
     resolved = analyzer.resolve(spark, parsed.base_sql, parsed.spec)
     node = optimizer.optimize(P.Skyline(
-        spark.sql(resolved.base_sql), resolved.spec,
+        resolved.base, resolved.spec,
         algorithm=algorithm, parallelism=parallelism,
     ))
     out = P.execute(node)

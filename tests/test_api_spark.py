@@ -159,3 +159,17 @@ class TestDimensionTypes:
         df = spark.createDataFrame(pdf)
         out = skyline(df, smin("ts"), smin("price"), algorithm=algorithm).toPandas()
         assert sorted(out["id"]) == [0, 1]
+
+    @pytest.mark.parametrize("dims, algorithm", [
+        ((smin("v"),), None),
+        ((smin("v"), smin("w")), "reference"),
+    ], ids=["single_dim", "reference"])
+    def test_bigint_beyond_2_53_compared_exactly(self, spark, dims, algorithm):
+        # 2**53 + 1 and 2**53 are one float64.  The single-dimension
+        # rewrite and Listing 4 compare the bigints as Spark types them,
+        # so only the 2**53 row is kept.  (The BNL algorithms still
+        # compare float64 values and keep both rows.)
+        pdf = pd.DataFrame({"name": ["a", "b"], "v": [2**53 + 1, 2**53], "w": [1, 1]})
+        out = skyline(spark.createDataFrame(pdf), *dims, algorithm=algorithm).toPandas()
+        expected = skyline_oracle_pandas(pdf, spec_of(*dims), incomplete=True)
+        assert sorted(out["name"]) == sorted(expected["name"]) == ["b"]

@@ -1,5 +1,8 @@
 """Unit tests for the dominance kernel (repro.core.dominance) and the
 definitional dominance oracle it is checked against (tests.helpers)."""
+import datetime as dt
+from decimal import Decimal
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -62,16 +65,18 @@ class TestNormalizeMatrix:
         assert mm.dtype == np.float64
 
 
-def arrow_table(pdf: pd.DataFrame, cuts=()) -> pa.Table:
-    """``pdf`` as an Arrow table of double columns (NaN as NULL), one
-    chunk per slice between the row indices in ``cuts``."""
+def arrow_table(pdf: pd.DataFrame, cuts=(), types=None) -> pa.Table:
+    """``pdf`` as an Arrow table (NaN as NULL), one chunk per slice
+    between the row indices in ``cuts``; a column is double unless
+    ``types`` gives it another Arrow type."""
     bounds = [0, *cuts, len(pdf)]
+    types = types or {}
     return pa.table({
         c: pa.chunked_array(
-            [pa.array(pdf[c].to_numpy()[lo:hi], type=pa.float64(),
+            [pa.array(pdf[c].to_numpy()[lo:hi], type=types.get(c, pa.float64()),
                       mask=np.isnan(pdf[c].to_numpy()[lo:hi]))
              for lo, hi in zip(bounds, bounds[1:])],
-            type=pa.float64())
+            type=types.get(c, pa.float64()))
         for c in pdf.columns
     })
 
@@ -100,7 +105,8 @@ _MARKERS = {"min": smin, "max": smax, "diff": sdiff}
     data=st.data(),
 )
 def test_arrow_read_matches_pandas_path(kinds, n, seed, data):
-    # Multi-chunk, then sliced so chunks start at a non-zero offset.
+    # Multi-chunk, then sliced so chunks start at a non-zero offset; the
+    # first column is int64 in Arrow and float64 in pandas.
     rng = np.random.default_rng(seed)
     cols = [f"c{i}" for i in range(len(kinds))]
     vals = rng.integers(-3, 4, size=(n, len(cols))).astype(float)
@@ -110,7 +116,7 @@ def test_arrow_read_matches_pandas_path(kinds, n, seed, data):
     lo = data.draw(st.integers(0, n), label="slice start")
     length = data.draw(st.integers(0, n - lo), label="slice length")
     spec = spec_of(*[_MARKERS[k](c) for k, c in zip(kinds, cols)])
-    table = arrow_table(pdf, cuts).slice(lo, length)
+    table = arrow_table(pdf, cuts, {cols[0]: pa.int64()}).slice(lo, length)
     want = dm.normalize_matrix(pdf.iloc[lo:lo + length].reset_index(drop=True), spec, cols)
     assert_same_matrices(dm.normalize_matrix(table, spec, cols), want)
 
@@ -139,9 +145,60 @@ class TestNormalizeArrow:
                              dm.normalize_matrix(pdf.iloc[1:].reset_index(drop=True), spec, ["a", "b"]))
 
     def test_non_double_column_rejected(self):
-        with pytest.raises(TypeError, match="double"):
-            dm.normalize_matrix(pa.table({"a": pa.array([1, 2], pa.int64())}),
-                                spec_of(smin("a")), ["a"])
+        # Only types without a float64 reading are rejected; int64 is read.
+        for column in (pa.array(["x", "y"]), pa.array([dt.date(2024, 1, 1), None], pa.date32())):
+            with pytest.raises(TypeError, match="numeric, boolean or timestamp"):
+                dm.normalize_matrix(pa.table({"a": column}), spec_of(smin("a")), ["a"])
+        int64 = pa.table({"a": pa.array([1, 2], pa.int64())})
+        np.testing.assert_array_equal(dm.normalize_matrix(int64, spec_of(smin("a")), ["a"])[0],
+                                      arr([1], [2]))
+
+
+_UTC = dt.timezone.utc
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=_UTC)
+
+# Spark's Arrow type for each accepted dimension type, with values
+# (None = NULL) that the reader must turn into ``float(value)``.
+_SPARK_TYPED = [
+    (pa.int8(), [-128, None, 127, 0, None, 5]),
+    (pa.int16(), [-32768, None, 32767, 7]),
+    (pa.int32(), [2**31 - 1, None, -2**31, 3]),
+    # 2**53 + 1 becomes 2**53, as in Spark's cast (round half to even).
+    (pa.int64(), [2**62, None, -2**63, -5, 2**63 - 1, 2**53 + 1, 2**53]),
+    (pa.float32(), [1.5, None, -2.25, 2.0**100, 0.0]),
+    (pa.bool_(), [True, None, False, True, False]),
+    (pa.decimal128(38, 0), [Decimal(5), None, Decimal(-7), Decimal(2**64 + 2**12),
+                            Decimal(-2**64 - 2**40)]),
+    (pa.decimal128(10, 2), [Decimal("-0.01"), None, Decimal("123.45"),
+                            Decimal("-99999999.99"), Decimal("0.00"), Decimal("0.01")]),
+    (pa.decimal128(38, 18), [Decimal("-0.01"), None, Decimal("1.5"), Decimal("-0.25"),
+                             Decimal("9.223372036854775808"),  # unscaled 2**63
+                             Decimal("-123456789012345678.5")]),
+    (pa.timestamp("us", tz="UTC"), [dt.datetime(2024, 2, 29, 12, 0, 0, 1, tzinfo=_UTC), None,
+                                    dt.datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=_UTC),
+                                    dt.datetime(2262, 1, 1, tzinfo=_UTC)]),
+]
+
+
+def _expected_float(v) -> float:
+    if v is None:
+        return np.nan
+    if isinstance(v, dt.datetime):
+        return float((v - _EPOCH) // dt.timedelta(microseconds=1))
+    return float(v)
+
+
+@pytest.mark.parametrize("typ, values", _SPARK_TYPED, ids=[str(t) for t, _ in _SPARK_TYPED])
+def test_spark_typed_column_read_as_float(typ, values):
+    # Two chunks, each sliced so its data and validity start at offset 1.
+    half = len(values) // 2
+    pad = values[0]
+    chunks = [pa.array([pad, *part], typ).slice(1) for part in (values[:half], values[half:])]
+    table = pa.table({"a": pa.chunked_array(chunks, typ)})
+    assert table.column("a").null_count > 0
+    assert all(c.offset == 1 for c in table.column("a").chunks)
+    mm, _ = dm.normalize_matrix(table, spec_of(smin("a")), ["a"])
+    np.testing.assert_array_equal(mm[:, 0], [_expected_float(v) for v in values])
 
 
 class TestCompleteKernels:

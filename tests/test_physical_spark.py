@@ -14,6 +14,7 @@ import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, LongType
 
 from repro.api import skyline
 from repro.core import physical
@@ -378,7 +379,7 @@ class TestLocalStageShuffle:
 
 
 class TestInPlaceDimensions:
-    """A dimension naming one double column is read in place, not copied."""
+    """A dimension naming one column is read in place, not copied."""
 
     @pytest.mark.parametrize("algorithm", SPECIALIZED)
     def test_double_columns_add_no_internal_column(self, spark, algorithm):
@@ -394,12 +395,24 @@ class TestInPlaceDimensions:
         spec = spec_of(smin("a"), smax("k"), smin("b + c"), complete=True)
         out = compute_skyline(spark.createDataFrame(pdf), spec, algorithm=algorithm)
         plan = executed_plan(out)
-        assert "__sky_d0" not in plan
-        assert "__sky_d1" in plan and "__sky_d2" in plan
+        # The bigint column ``k`` is read in place too; only ``b + c`` is appended.
+        assert "__sky_d0" not in plan and "__sky_d1" not in plan
+        assert "__sky_d2" in plan
         assert out.columns == list(pdf.columns)
         expected = skyline_oracle_pandas(pdf.assign(**{"b + c": pdf.b + pdf.c}), spec,
                                          incomplete=False)
         assert sorted(out.toPandas()["id"]) == sorted(expected["id"])
+
+    def test_appended_dims_keep_spark_type_in_one_projection(self, spark):
+        df = spark.createDataFrame(make_pdf(66).assign(k=lambda p: p["c"].astype("int64")))
+        spec = spec_of(smin("k + 1"), smax("a"), smin("b * 2"))
+        work, cols, appended, _ = physical._materialize_dims(df, spec)
+        assert cols == ["__sky_d0", "a", "__sky_d2"] and appended == ["__sky_d0", "__sky_d2"]
+        assert work.schema["__sky_d0"].dataType == LongType()
+        assert work.schema["__sky_d2"].dataType == DoubleType()
+        analyzed = work._jdf.queryExecution().analyzed().toString()
+        assert analyzed.count("Project") == 1
+        assert physical._materialize_dims(df, spec_of(smin("k"), smax("a")))[0] is df
 
     @pytest.mark.parametrize("algorithm", SPECIALIZED)
     def test_one_column_as_min_and_max(self, spark, algorithm):

@@ -8,7 +8,7 @@ from repro.core.physical import ALGORITHMS
 from repro.core.spec import smax, smin, spec_of
 from repro.oracle import assert_equivalent
 from repro.sqlext import sky_sql
-from repro.sqlext.analyzer import ResolvedSkylineQuery, resolve
+from repro.sqlext.analyzer import resolve
 from repro.sqlext.parser import SkylineParseError
 
 from tests.helpers import skyline_oracle_pandas
@@ -146,14 +146,19 @@ class TestAnalyzerIntegration:
     def test_base_output_dims_left_as_written(self, spark, hotels):
         spec = spec_of(smin("PRICE + 1"), smax("user_rating"))
         resolved = resolve(spark, "SELECT * FROM hotels", spec)
-        assert resolved == ResolvedSkylineQuery("SELECT * FROM hotels", spec, ())
+        assert resolved.base.columns == spark.table("hotels").columns
+        assert resolved.spec == spec and resolved.final_columns == ()
 
     def test_only_unevaluable_dims_spliced(self, spark, hotels):
         resolved = resolve(spark, "SELECT id, price FROM hotels",
                            spec_of(smin("price * 2"), smax("user_rating")))
-        assert resolved.base_sql == "SELECT id, price, (user_rating) AS __sky_e0 FROM hotels"
+        assert resolved.base.columns == ["id", "price", "__sky_e0"]
         assert [d.expr for d in resolved.spec.dimensions] == ["price * 2", "__sky_e0"]
         assert resolved.final_columns == ("id", "price")
+
+    def test_unresolvable_dim_rejected(self, spark, hotels):
+        with pytest.raises(SkylineParseError, match="cannot resolve skyline dimension"):
+            resolve(spark, "SELECT id FROM hotels", spec_of(smin("no_such_column")))
 
     def test_aggregate_dim_not_in_projection(self, spark, hotels):
         # Skyline over count(*) while the projection only has the avg —
