@@ -1,12 +1,17 @@
 """Reproduce the paper's evaluation tables (Tables 3–12).
 
 Usage:
-    python jobs/run_table.py [--table N [N ...]] [--timeout 120] [--out results]
+    python jobs/run_table.py [--table N [N ...]] [--timeout 120] [--out DIR] [--bench]
 
 Runs every cell of each listed table's grid (sweep × algorithms; all
 ten tables when no --table is given) in one Spark session on the
 scaled datasets, writes <out>/tableNN.json and prints the table's
 EXPERIMENTS.md section (paper vs ours, % of reference and seconds).
+
+--bench runs the same grids at bench scale (a further 1/10: Airbnb
+24k, store_sales 25k–250k) and writes to results/bench by default, so
+it never overwrites the reproduction-scale results/tableNN.json that
+EXPERIMENTS.md is built from.
 """
 from __future__ import annotations
 
@@ -22,11 +27,12 @@ from repro.bench.report import render_section, results_path, results_to_json
 from repro.bench.tables import TABLES, table_def
 
 
-def run_table(spark, table: int, timeout_s: float, out_dir: str) -> dict:
+def run_table(spark, table: int, timeout_s: float, out_dir: str, *,
+              bench: bool = False) -> dict:
     tdef = table_def(table)
     results: dict = {}
     print(f"=== Table {table}: {tdef.caption}", file=sys.stderr)
-    for cell in tdef.cells():
+    for cell in tdef.cells(bench):
         sweep_value = cell.pop("sweep_value")
         t0 = time.time()
         secs = run_cell(spark, **cell, timeout_s=timeout_s)
@@ -49,13 +55,17 @@ def main() -> None:
     ap.add_argument("--table", type=int, nargs="+", choices=range(3, 13),
                     default=sorted(TABLES))
     ap.add_argument("--timeout", type=float, default=TIMEOUT_SECONDS)
-    ap.add_argument("--out", default="results")
+    ap.add_argument("--out", help="results directory (default: results, "
+                                  "or results/bench with --bench)")
+    ap.add_argument("--bench", action="store_true",
+                    help="run at bench scale instead of reproduction scale")
     args = ap.parse_args()
+    out_dir = args.out or ("results/bench" if args.bench else "results")
     spark = get_session("skyline-tables")
     t0 = time.time()
     try:
         for t in args.table:
-            run_table(spark, t, args.timeout, args.out)
+            run_table(spark, t, args.timeout, out_dir, bench=args.bench)
     finally:
         clear_cache()
         spark.stop()

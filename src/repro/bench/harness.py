@@ -66,6 +66,7 @@ def timed_action(spark: SparkSession, df: DataFrame,
     The action runs in a worker thread under a dedicated job group;
     on timeout the group is cancelled (``interruptOnCancel``), which
     is the local-mode equivalent of the paper killing the YARN job.
+    See :func:`_cancel` for when a timed-out call returns.
     """
     sc = spark.sparkContext
     group = f"sky-bench-{uuid.uuid4().hex[:8]}"
@@ -84,12 +85,37 @@ def timed_action(spark: SparkSession, df: DataFrame,
     th.start()
     th.join(timeout_s)
     if th.is_alive():
-        sc.cancelJobGroup(group)
-        th.join(30.0)
+        _cancel(sc, group, th)
         return None
     if "err" in result:
         raise result["err"]
     return result["t"]
+
+
+def _cancel(sc, group: str, action: threading.Thread) -> None:
+    """Cancel ``group`` until its action has ended and no stage of the
+    group has an active task, or 30 s have passed.
+
+    ``cancelJobGroup`` reaches only the jobs running at the time, and a
+    query can start more after it: AQE submits the broadcast join of
+    the reference cell as a map-stage job once its broadcast is built.
+    So every job of the group that is seen running is cancelled.  A
+    cancelled job's tasks still hold their cores until they notice the
+    kill, and the next cell must not be timed on cores shared with them.
+    """
+    tracker = sc.statusTracker()
+    cancelled: set = set()
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        jobs = [j for j in map(tracker.getJobInfo, tracker.getJobIdsForGroup(group)) if j]
+        running = {j.jobId for j in jobs if j.status == "RUNNING"}
+        if running - cancelled:
+            sc.cancelJobGroup(group)
+            cancelled |= running
+        stages = (tracker.getStageInfo(s) for j in jobs for s in j.stageIds)
+        if not action.is_alive() and not any(s and s.numActiveTasks for s in stages):
+            return
+        time.sleep(0.05)
 
 
 def build_cell_df(spark: SparkSession, *, dataset: str, complete: bool,

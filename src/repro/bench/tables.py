@@ -15,6 +15,8 @@ EXPERIMENTS.md can diff shapes directly.
 Scale mapping (DESIGN.md): Airbnb at 1/2 paper size (500k incomplete /
 ≈348k complete); store_sales 1e6/2e6/5e6/1e7 →
 250k/500k/1.25M/2.5M; executors → partitions; timeout 3600 s → 120 s.
+Bench scale is a further 1/10 (Airbnb 24k, store_sales 25k–250k), the
+size ``jobs/run_table.py --bench`` runs the same grids at.
 """
 from __future__ import annotations
 
@@ -38,6 +40,9 @@ SS_SCALE = {1_000_000: 250_000, 2_000_000: 500_000, 5_000_000: 1_250_000, 10_000
 #: sized so the plain-SQL reference finishes within the timeout on the
 #: NULL-heavy 5-/6-dimension queries while still separating algorithms.
 AIRBNB_N = 500_000
+#: Bench scale: the reproduction sizes above / 10.
+BENCH_SS_SCALE = {1_000_000: 25_000, 2_000_000: 50_000, 5_000_000: 125_000, 10_000_000: 250_000}
+BENCH_AIRBNB_N = 24_000
 
 
 @dataclass(frozen=True)
@@ -62,19 +67,19 @@ class TableDef:
     paper_percent: dict = field(default_factory=dict)
     paper_none_is_timeout: bool = False
 
-    def our_n(self, sweep_value=None) -> int:
-        if self.sweep == "tuples":
-            return SS_SCALE[sweep_value]
+    def our_n(self, sweep_value, bench: bool = False) -> int:
+        """Tuple count of one cell, at reproduction or bench scale."""
         if self.dataset == "airbnb":
-            return AIRBNB_N
-        return SS_SCALE[self.paper_n]
+            return BENCH_AIRBNB_N if bench else AIRBNB_N
+        paper_n = sweep_value if self.sweep == "tuples" else self.paper_n
+        return (BENCH_SS_SCALE if bench else SS_SCALE)[paper_n]
 
-    def cells(self):
+    def cells(self, bench: bool = False):
         """Yield cell dicts for the harness, in table order."""
         for v in self.sweep_values:
             dims = v if self.sweep == "dims" else self.fixed_dims
             executors = v if self.sweep == "executors" else self.fixed_executors
-            n = self.our_n(v)
+            n = self.our_n(v, bench)
             for algo in self.algorithms:
                 yield {
                     "dataset": self.dataset,

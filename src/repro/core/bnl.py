@@ -133,5 +133,5 @@ def incomplete_global_skyline_mask(mm: np.ndarray, diff: np.ndarray | None) -> n
     tuples are only *flagged* and all flags are applied at the end
     (Appendix A).  This is O(n²) but safe under cyclic dominance.
     """
-    dominated = dm.dominated_mask(mm, diff, mm, diff, exclude_self=True)
+    dominated = dm.dominated_mask(mm, diff, mm, diff)
     return ~dominated

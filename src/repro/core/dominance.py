@@ -148,8 +148,7 @@ def _cand_blocks(n_set: int, n_cand: int):
 
 
 def dominated_mask(mm: np.ndarray, diff: np.ndarray | None,
-                   cand_mm: np.ndarray, cand_diff: np.ndarray | None,
-                   *, exclude_self: bool = False) -> np.ndarray:
+                   cand_mm: np.ndarray, cand_diff: np.ndarray | None) -> np.ndarray:
     """Null-aware batch mask: candidate i dominated by some row of the set.
 
     The one batch dominance kernel.  For each block of candidates the
@@ -169,12 +168,10 @@ def dominated_mask(mm: np.ndarray, diff: np.ndarray | None,
     strictly better somewhere", and a DIFF value is neither below nor
     above exactly the values it equals.
 
-    With ``exclude_self=True`` the set and candidates are the *same*
-    array and row i is not compared against itself — this is the
-    all-pairs global phase for incomplete data (Appendix A "Correct
-    Skyline Computation"): flags are computed against the full set and
-    only applied afterwards, so cyclic dominance never deletes a
-    dominator prematurely.
+    A row never dominates itself (``better`` needs a strict ``<`` on a
+    dimension where both values are present), so the set may be the
+    candidates themselves; the incomplete global phase passes the same
+    array twice.
     """
     _check_pair_shapes(mm, diff)
     n_set = mm.shape[0]
@@ -195,9 +192,5 @@ def dominated_mask(mm: np.ndarray, diff: np.ndarray | None,
             a, b = a[:, None], b[None, lo:hi]
             worse |= np.less(a, b, out=tmp)
             worse |= np.greater(a, b, out=tmp)
-        dom = np.logical_and(better, ~worse, out=better)
-        if exclude_self:
-            idx = np.arange(lo, hi)
-            dom[idx, idx - lo] = False
-        out[lo:hi] = dom.any(axis=0)
+        out[lo:hi] = np.logical_and(better, ~worse, out=better).any(axis=0)
     return out

@@ -37,9 +37,7 @@ AIRBNB_DIMS: tuple[tuple[str, DimType], ...] = (
     ("review_scores_rating", DimType.MAX),
 )
 
-#: Paper row counts (incomplete / complete) — ours are 1/40 by default.
-PAPER_N_INCOMPLETE = 1_193_465
-PAPER_N_COMPLETE = 820_698
+#: Default row count (see "Scale" above).
 DEFAULT_N = 29_500
 
 

@@ -46,6 +46,13 @@ class TestTableDefs:
 
     def test_scale_mapping(self):
         assert SS_SCALE[10_000_000] == 2_500_000  # 1/4 scale
+        # Bench scale is a further 1/10.
+        assert {c["sweep_value"]: c["n"] for c in table_def(7).cells(bench=True)} == {
+            1_000_000: 25_000, 2_000_000: 50_000, 5_000_000: 125_000, 10_000_000: 250_000}
+        assert {t: {c["n"] for c in table_def(t).cells(bench=True)} for t in TABLES} == {
+            3: {24_000}, 4: {24_000}, 5: {250_000}, 6: {25_000}, 7: {25_000, 50_000, 125_000, 250_000},
+            8: {25_000, 50_000, 125_000, 250_000}, 9: {24_000}, 10: {24_000}, 11: {250_000},
+            12: {125_000}}
 
     def test_dims_sweeps_are_1_to_6(self):
         for t in (3, 4, 5, 6):
@@ -88,6 +95,29 @@ class TestHarness:
         t0 = time.time()
         assert timed_action(spark, slow_df, timeout_s=2) is None
         assert time.time() - t0 < 40  # cancelled, not run to completion
+
+    def test_timed_action_timeout_returns_after_tasks_end(self, spark, monkeypatch):
+        """The next cell must not be timed while the cancelled one's tasks run."""
+        def slow(batches):
+            for pdf in batches:
+                time.sleep(20)
+                yield pdf
+
+        sc = spark.sparkContext
+        groups = []
+        set_group = sc.setJobGroup
+        monkeypatch.setattr(sc, "setJobGroup",
+                            lambda g, *a, **kw: (groups.append(g), set_group(g, *a, **kw)))
+        df = spark.range(0, 100, 1, 3)
+        assert timed_action(spark, df.mapInPandas(slow, df.schema), timeout_s=2) is None
+
+        tracker = sc.statusTracker()
+        [group] = groups
+        stage_ids = [s for j in tracker.getJobIdsForGroup(group)
+                     for s in tracker.getJobInfo(j).stageIds]
+        assert stage_ids
+        infos = [tracker.getStageInfo(s) for s in stage_ids]
+        assert all(i is None or i.numActiveTasks == 0 for i in infos), infos
 
     @pytest.mark.parametrize("algorithm", COMPLETE_ALGOS)
     def test_build_cell_df_complete_counts_agree(self, spark, algorithm):

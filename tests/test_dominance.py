@@ -279,14 +279,14 @@ class TestIncompleteKernels:
 
     def test_mask_exclude_self(self):
         mm = arr([1, 1], [1, 1])
-        mask = dm.dominated_mask(mm, None, mm, None, exclude_self=True)
+        mask = dm.dominated_mask(mm, None, mm, None)
         np.testing.assert_array_equal(mask, [False, False])
 
     def test_mask_matches_scalar(self):
         rng = np.random.default_rng(1)
         mm = rng.random((40, 3))
         mm[rng.random((40, 3)) < 0.3] = np.nan
-        mask = dm.dominated_mask(mm, None, mm, None, exclude_self=True)
+        mask = dm.dominated_mask(mm, None, mm, None)
         for i in range(40):
             others = np.arange(40) != i
             expected = any_dominates(mm[others], None, mm[i], None, incomplete=True)

@@ -1,4 +1,4 @@
-"""Tests of the entry scripts under jobs/ and benchmarks/.
+"""Tests of the entry scripts under jobs/.
 
 Nothing else imports these scripts, so a library name they use could
 disappear without any other test noticing: each is imported once,
@@ -9,6 +9,7 @@ generator's output.
 import importlib
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,6 @@ from repro.bench.tables import table_def
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = sorted(p.stem for p in (ROOT / "jobs").glob("*.py"))
-BENCHMARKS = sorted(p.stem for p in (ROOT / "benchmarks").glob("*.py"))
 
 
 def _job(monkeypatch, name):
@@ -32,14 +32,10 @@ def test_job_imports(monkeypatch, name):
     _job(monkeypatch, name)
 
 
-@pytest.mark.parametrize("name", BENCHMARKS)
-def test_benchmark_imports(name):
-    importlib.import_module(f"benchmarks.{name}")
-
-
 def test_run_table_writes_json_and_prints_section(monkeypatch, tmp_path, capsys):
-    """``run_table`` without Spark: ``run_cell`` returns fixed seconds, and
-    ``None`` (timed out) for the 6-dimension reference cell."""
+    """``run_table`` without Spark, at both scales: ``run_cell`` returns
+    fixed seconds, and ``None`` (timed out) for the 6-dimension reference
+    cell."""
     run_table = _job(monkeypatch, "run_table")
     calls = []
 
@@ -49,17 +45,38 @@ def test_run_table_writes_json_and_prints_section(monkeypatch, tmp_path, capsys)
 
     monkeypatch.setattr(run_table, "run_cell", fake_run_cell)
     tdef = table_def(4)
-    results = run_table.run_table(None, 4, 7.0, str(tmp_path))
+    for bench, n in ((False, 500_000), (True, 24_000)):
+        calls.clear()
+        out_dir = str(tmp_path / f"bench-{bench}")
+        results = run_table.run_table(None, 4, 7.0, out_dir, bench=bench)
 
-    assert len(calls) == len(list(tdef.cells()))
-    assert all(t == 7.0 and set(c) == {"dataset", "complete", "n", "executors"}
-               for _, _, t, c in calls)
-    assert load_results(str(tmp_path), 4) == results
-    assert results[6, "reference"] is None and results[1, "reference"] == 1.5
-    out = capsys.readouterr().out
-    assert out.startswith(f"## Table 4 — {tdef.caption}")
-    assert "| reference | 1.50 s | 1.50 s | 1.50 s | 1.50 s | 1.50 s | t.o. |" in out
-    assert "| distributed incomplete | 100.00% |" in out and "| n.a. |" in out
+        assert len(calls) == len(list(tdef.cells()))
+        assert all(t == 7.0 and set(c) == {"dataset", "complete", "n", "executors"}
+                   for _, _, t, c in calls)
+        assert {c["n"] for *_, c in calls} == {n}
+        assert load_results(out_dir, 4) == results
+        assert results[6, "reference"] is None and results[1, "reference"] == 1.5
+        out = capsys.readouterr().out
+        assert out.startswith(f"## Table 4 — {tdef.caption}")
+        assert "| reference | 1.50 s | 1.50 s | 1.50 s | 1.50 s | 1.50 s | t.o. |" in out
+        assert "| distributed incomplete | 100.00% |" in out and "| n.a. |" in out
+
+
+@pytest.mark.parametrize("argv, out_dir", [
+    ([], "results"),
+    (["--bench"], "results/bench"),
+    (["--bench", "--out", "elsewhere"], "elsewhere"),
+])
+def test_run_table_out_dir_default(monkeypatch, argv, out_dir):
+    """A bench run must not overwrite the reproduction-scale results/tableNN.json."""
+    run_table = _job(monkeypatch, "run_table")
+    calls = []
+    monkeypatch.setattr(run_table, "get_session", lambda name: SimpleNamespace(stop=lambda: None))
+    monkeypatch.setattr(run_table, "run_table",
+                        lambda spark, t, timeout_s, out, bench: calls.append((t, out, bench)))
+    monkeypatch.setattr(sys, "argv", ["run_table.py", "--table", "4", *argv])
+    run_table.main()
+    assert calls == [(4, out_dir, "--bench" in argv)]
 
 
 def test_experiments_md_is_generated(monkeypatch, tmp_path):
