@@ -5,13 +5,16 @@ for complete data, the DuckDB-executed Listing-4 rewrite) — §5.9's
 "intensively tested ... verified against the equivalent plain SQL".
 """
 import datetime
+import fnmatch
 import threading
 import time
 import uuid
+import zipfile
 from decimal import Decimal
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType
@@ -469,3 +472,44 @@ class TestInPlaceDimensions:
         assert len(got) == len(got[["a", "b"]].drop_duplicates())
         assert (set(map(tuple, got[["a", "b"]].to_numpy()))
                 == set(map(tuple, expected[["a", "b"]].to_numpy())))
+
+
+INSTALL_ARCHIVES = ("pyspark.zip", "py4j-*-src.zip", "spark-core_*.jar")
+
+
+def test_skyline_stage_freezes_only_install_archives(spark, tmp_path):
+    """After a skyline query, a reused worker keeps the Spark installation's
+    zip importers frozen and every other one plain, and a zip added with
+    ``addPyFile`` after that query is still imported."""
+    n = spark.sparkContext.defaultParallelism
+    compute_skyline(four_partition_df(spark), spec_of(smin("a"), smax("b")),
+                    algorithm="distributed_complete", parallelism=n).collect()
+    module = f"sky_added_{uuid.uuid4().hex[:8]}"
+    with zipfile.ZipFile(tmp_path / f"{module}.zip", "w") as zf:
+        zf.writestr(f"{module}.py", "VALUE = 42\n")
+    spark.sparkContext.addPyFile(str(tmp_path / f"{module}.zip"))
+
+    def probe(batches):
+        import importlib
+        import os
+        import sys
+        value = importlib.import_module(module).VALUE
+        stage_ran = getattr(sys.modules.get("repro.core.physical"), "_spark_archives_frozen", False)
+        rows = [{"stage_ran": stage_ran, "value": value, "kind": type(imp).__name__,
+                 "archive": os.path.basename(imp.archive)}
+                for imp in list(sys.path_importer_cache.values()) if hasattr(imp, "archive")]
+        yield pa.RecordBatch.from_pylist(rows)
+
+    schema = "stage_ran boolean, value long, kind string, archive string"
+    got = spark.range(0, n, 1, n).mapInArrow(probe, schema).toPandas()
+    assert (got["value"] == 42).all()
+    assert f"{module}.zip" in set(got["archive"])
+    got["install"] = got["archive"].map(
+        lambda a: any(fnmatch.fnmatch(a, p) for p in INSTALL_ARCHIVES))
+    reused = got[got["stage_ran"]]
+    assert len(reused), "no probe task ran in a worker that had run a skyline stage"
+    frozen = reused[reused["install"]]
+    for pattern in INSTALL_ARCHIVES:
+        assert fnmatch.filter(frozen["archive"], pattern), pattern
+    assert (frozen["kind"] == "_FrozenZipImporter").all()
+    assert (got["kind"][~got["install"] | ~got["stage_ran"]] == "zipimporter").all()
