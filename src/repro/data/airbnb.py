@@ -24,6 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.spec import DimType, SkylineDimension
+from ._frame import to_spark
 
 __all__ = ["AIRBNB_DIMS", "airbnb_dims", "airbnb", "airbnb_pandas"]
 
@@ -98,4 +99,4 @@ def airbnb(spark: SparkSession, *, n: int = DEFAULT_N, seed: int = 7,
     pdf = airbnb_pandas(n=n, seed=seed)
     if complete:
         pdf = pdf.dropna(subset=[c for c, _ in AIRBNB_DIMS]).reset_index(drop=True)
-    return spark.createDataFrame(pdf)
+    return to_spark(spark, pdf)

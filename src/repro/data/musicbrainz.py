@@ -27,6 +27,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.spec import DimType, SkylineDimension
+from ._frame import to_spark
 
 __all__ = ["MUSICBRAINZ_DIMS", "musicbrainz_dims", "musicbrainz_tables",
            "BASE_QUERY_COMPLETE", "BASE_QUERY_INCOMPLETE"]
@@ -128,5 +129,5 @@ def musicbrainz_tables(spark: SparkSession, *, n: int = 15_000, seed: int = 23,
     }
     if register:
         for name, pdf in tables.items():
-            spark.createDataFrame(pdf).createOrReplaceTempView(name)
+            to_spark(spark, pdf).createOrReplaceTempView(name)
     return tables

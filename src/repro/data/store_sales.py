@@ -34,6 +34,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.spec import DimType, SkylineDimension
+from ._frame import to_spark
 
 __all__ = ["STORE_SALES_DIMS", "store_sales_dims", "store_sales", "store_sales_pandas"]
 
@@ -106,4 +107,4 @@ def store_sales_pandas(*, n: int, seed: int = 11, complete: bool = False) -> pd.
 def store_sales(spark: SparkSession, *, n: int, seed: int = 11,
                 complete: bool = False) -> DataFrame:
     """The ``store_sales`` prefix of size ``n`` as a DataFrame."""
-    return spark.createDataFrame(store_sales_pandas(n=n, seed=seed, complete=complete))
+    return to_spark(spark, store_sales_pandas(n=n, seed=seed, complete=complete))

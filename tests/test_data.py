@@ -4,7 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.core.spec import DimType
+from repro.data._frame import TASK_WARN_BYTES, partition_bytes
 from repro.data.airbnb import AIRBNB_DIMS, airbnb_dims, airbnb_pandas
+from repro.data.musicbrainz import musicbrainz_tables
 from repro.data.store_sales import STORE_SALES_DIMS, store_sales_dims, store_sales_pandas
 
 
@@ -114,3 +116,29 @@ class TestStoreSales:
         assert [d.expr for d in store_sales_dims(2)] == ["ss_quantity", "ss_wholesale_cost"]
         with pytest.raises(ValueError):
             store_sales_dims(7)
+
+
+class TestTaskSizeRule:
+    """Which generated tables ``to_spark`` checkpoints, at 4 partitions."""
+
+    COLUMNS = {
+        "store_sales": len(store_sales_pandas(n=10).columns),
+        "airbnb": len(airbnb_pandas(n=10).columns),
+        **{name: len(pdf.columns)
+           for name, pdf in musicbrainz_tables(None, n=10, register=False).items()},
+    }
+
+    @pytest.mark.parametrize("table", sorted(COLUMNS))
+    @pytest.mark.parametrize("rows, above", [(8_000, False), (24_000, False), (100_000, True)])
+    def test_side_of_threshold(self, table, rows, above):
+        assert (partition_bytes(rows, self.COLUMNS[table], 4) > TASK_WARN_BYTES) is above
+
+    def test_matches_spark_task_size(self):
+        # Spark: "a task of very large size (2182 KiB)" = 2,234,823 bytes
+        # for 100,000 store_sales rows in 4 partitions.
+        assert partition_bytes(100_000, 8, 4) == pytest.approx(2_234_823, rel=0.01)
+
+    def test_largest_slice_counts(self):
+        assert partition_bytes(9, 1, 4) == 3 * 33
+        assert partition_bytes(2, 1, 4) == 33
+        assert partition_bytes(0, 1, 4) == 0

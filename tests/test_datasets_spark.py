@@ -1,7 +1,9 @@
 """Skyline correctness on the evaluation datasets themselves (small n)."""
+import pandas as pd
 import pytest
 
 from repro.api import skyline
+from repro.core import physical
 from repro.core.spec import SkylineSpec
 from repro.data.airbnb import airbnb, airbnb_dims, airbnb_pandas, AIRBNB_DIMS
 from repro.data.store_sales import (
@@ -65,3 +67,43 @@ class TestStoreSalesSkylines:
     def test_spark_loader(self, spark):
         df = store_sales(spark, n=500, complete=True)
         assert df.count() == 500
+
+
+def optimized_plan(df) -> str:
+    return df._jdf.queryExecution().optimizedPlan().toString()
+
+
+class TestGeneratedTableEntersSpark:
+    """A generated table too large for one task is checkpointed (DESIGN.md §2)."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, spark):
+        # 25,000 store_sales rows per partition: about 2.2 MB per task.
+        return 25_000 * max(4, spark.sparkContext.defaultParallelism)
+
+    def test_large_table_plans_no_local_relation(self, spark, rows):
+        df = store_sales(spark, n=rows, complete=True)
+        assert "LocalRelation" not in optimized_plan(df)
+
+    def test_large_table_same_frame_as_create_data_frame(self, spark, rows):
+        df = store_sales(spark, n=rows, complete=True)
+        ref = spark.createDataFrame(store_sales_pandas(n=rows, complete=True))
+        assert df.schema == ref.schema  # StructField equality includes nullability
+        assert df.rdd.getNumPartitions() == ref.rdd.getNumPartitions()
+        pd.testing.assert_frame_equal(df.toPandas(), ref.toPandas())
+
+    def test_large_table_cache_skips_input_shuffle(self, spark, rows):
+        df = store_sales(spark, n=rows, complete=True).persist()
+        try:
+            df.count()
+            parts = physical._built_cache_partitions(df)
+            assert parts == df.rdd.getNumPartitions()
+            out = skyline(df, *store_sales_dims(6), complete=True,
+                          algorithm="distributed_complete", parallelism=parts)
+            plan = out._jdf.queryExecution().executedPlan().toString()
+            assert plan.count("Exchange") == 1  # only the global stage's repartition(1)
+        finally:
+            df.unpersist()
+
+    def test_small_table_stays_local(self, spark):
+        assert "LocalRelation" in optimized_plan(store_sales(spark, n=500))

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.report import load_results
-from repro.bench.tables import table_def
+from repro.bench.tables import COMPLETE_ALGOS, table_def
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = sorted(p.stem for p in (ROOT / "jobs").glob("*.py"))
@@ -62,6 +62,22 @@ def test_run_table_writes_json_and_prints_section(monkeypatch, tmp_path, capsys)
         assert "| distributed incomplete | 100.00% |" in out and "| n.a. |" in out
 
 
+def test_run_table_warm_up_writes_each_algorithm_once(monkeypatch, capsys):
+    """The warm-up noop-writes every algorithm over one small table and
+    records nothing."""
+    run_table = _job(monkeypatch, "run_table")
+    cells, writes = [], []
+    monkeypatch.setattr(run_table, "build_cell_df",
+                        lambda spark, **cell: cells.append(cell) or cell["algorithm"])
+    monkeypatch.setattr(run_table, "timed_action",
+                        lambda spark, df, timeout_s: writes.append((df, timeout_s)))
+    run_table.warm_up(None, 9.0)
+    assert writes == [(a, 9.0) for a in COMPLETE_ALGOS]
+    assert {(c["dataset"], c["complete"], c["n"]) for c in cells} == {
+        ("store_sales", True, run_table.WARMUP_ROWS)}
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv, out_dir", [
     ([], "results"),
     (["--bench"], "results/bench"),
@@ -72,11 +88,12 @@ def test_run_table_out_dir_default(monkeypatch, argv, out_dir):
     run_table = _job(monkeypatch, "run_table")
     calls = []
     monkeypatch.setattr(run_table, "get_session", lambda name: SimpleNamespace(stop=lambda: None))
+    monkeypatch.setattr(run_table, "warm_up", lambda spark, timeout_s: calls.append("warm-up"))
     monkeypatch.setattr(run_table, "run_table",
                         lambda spark, t, timeout_s, out, bench: calls.append((t, out, bench)))
     monkeypatch.setattr(sys, "argv", ["run_table.py", "--table", "4", *argv])
     run_table.main()
-    assert calls == [(4, out_dir, "--bench" in argv)]
+    assert calls == ["warm-up", (4, out_dir, "--bench" in argv)]
 
 
 def test_experiments_md_is_generated(monkeypatch, tmp_path):
