@@ -17,6 +17,7 @@ import sys
 from _session import get_session
 
 from repro.bench.harness import timed_action
+from repro.bench.tables import COMPLETE_ALGOS, INCOMPLETE_ALGOS
 from repro.data.musicbrainz import (
     BASE_QUERY_COMPLETE, BASE_QUERY_INCOMPLETE, MUSICBRAINZ_DIMS,
     musicbrainz_tables,
@@ -46,11 +47,7 @@ def main() -> None:
         musicbrainz_tables(spark, n=args.n)
         for complete, base in ((True, BASE_QUERY_COMPLETE), (False, BASE_QUERY_INCOMPLETE)):
             variant = "complete" if complete else "incomplete"
-            algos = (
-                ("reference", "distributed_complete", "non_distributed_complete",
-                 "distributed_incomplete")
-                if complete else ("reference", "distributed_incomplete")
-            )
+            algos = COMPLETE_ALGOS if complete else INCOMPLETE_ALGOS
             for k in args.dims:
                 q = skyline_query(base, k, complete)
                 for algo in algos:

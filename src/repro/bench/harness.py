@@ -4,18 +4,21 @@ A *cell* is one (dataset variant, #dimensions, #tuples, #executors,
 algorithm) combination; Tables 3–12 are grids of cells.  Differences
 from the paper's testbed, per DESIGN.md:
 
-* "executors" → partition count of the skyline stages (specialized
-  algorithms) resp. of the input (reference), on one ``local[*]``
-  session;
+* "executors" → partition count of the cell's input, for every
+  algorithm alike, on one ``local[*]`` session: the input is cached
+  with exactly that many partitions, the stages of the specialized
+  algorithms read them in place, and the reference's anti join
+  streams over them;
 * timeout 3600 s → 120 s (data is scaled 1/4–1/5), enforced by
   cancelling the Spark job group — a timed-out cell reports ``None``
   and is rendered "t.o." exactly like the paper;
 * runtime = wall-clock of writing the result to the ``noop`` sink
   (materializes every row, no collect overhead).
 
-Input DataFrames are generated once, persisted, and materialized
-*before* timing, so cells measure query execution, not data
-generation.
+Input DataFrames are generated, repartitioned, persisted and
+materialized *before* timing, so cells measure query execution, not
+data generation.  One input is held at a time: the cells of a table
+run grouped by input, and a new input unpersists the previous one.
 """
 from __future__ import annotations
 
@@ -37,9 +40,11 @@ TIMEOUT_SECONDS = 120.0
 _CACHE: dict[tuple, DataFrame] = {}
 
 
-def input_df(spark: SparkSession, dataset: str, *, n: int, complete: bool) -> DataFrame:
-    """Cached, persisted, pre-materialized input table for a cell."""
-    key = (dataset, n, complete)
+def input_df(spark: SparkSession, dataset: str, *, n: int, complete: bool,
+             executors: int) -> DataFrame:
+    """The cell's input table, persisted and materialized in ``executors``
+    partitions; building a different one unpersists the previous one."""
+    key = (dataset, n, complete, executors)
     if key not in _CACHE:
         if dataset == "airbnb":
             df = airbnb(spark, n=n, complete=complete)
@@ -47,7 +52,8 @@ def input_df(spark: SparkSession, dataset: str, *, n: int, complete: bool) -> Da
             df = store_sales(spark, n=n, complete=complete)
         else:
             raise ValueError(f"unknown dataset {dataset!r}")
-        df = df.persist()
+        clear_cache()
+        df = df.repartition(executors).persist()
         df.count()  # materialize outside the timed region
         _CACHE[key] = df
     return _CACHE[key]
@@ -120,19 +126,16 @@ def _cancel(sc, group: str, action: threading.Thread) -> None:
 
 def build_cell_df(spark: SparkSession, *, dataset: str, complete: bool,
                   dims: int, n: int, executors: int, algorithm: str) -> DataFrame:
-    """Construct the (lazy) result DataFrame for one cell."""
-    df = input_df(spark, dataset, n=n, complete=complete)
+    """Construct the (lazy) result DataFrame for one cell.
+
+    The reference always says COMPLETE: it is then the paper's literal
+    Listing-4 rewrite under SQL three-valued semantics, which on
+    incomplete data is the formulation a user would actually write,
+    and the one whose ~n² cost the paper's reference rows exhibit.
+    """
+    df = input_df(spark, dataset, n=n, complete=complete, executors=executors)
     dim_list = airbnb_dims(dims) if dataset == "airbnb" else store_sales_dims(dims)
-    if algorithm == "reference":
-        # The baseline gets no skyline-specific planning; its
-        # parallelism comes from the input partitioning.  COMPLETE makes
-        # it the paper's literal Listing-4 rewrite under SQL three-valued
-        # semantics: on incomplete data this is the formulation a user
-        # would actually write, and the one whose ~n² cost the paper's
-        # reference rows exhibit.
-        return skyline(df.repartition(executors), *dim_list, complete=True,
-                       algorithm="reference")
-    return skyline(df, *dim_list, complete=complete,
+    return skyline(df, *dim_list, complete=complete or algorithm == "reference",
                    algorithm=algorithm, parallelism=executors)
 
 

@@ -143,18 +143,21 @@ def _drop_dims(out: DataFrame, spec: SkylineSpec, cols: list[str],
 
 
 def _built_cache_partitions(df: DataFrame) -> Optional[int]:
-    """Partition count of ``df``'s cache if ``df`` is persisted and its
-    cache is built, else None (unknown).
+    """Partition count of ``df``'s cache if ``df``'s plan is persisted and
+    its cache is built, else None (unknown).
 
-    Reads the JVM ``InMemoryRelation`` Spark substitutes for a
-    persisted plan; asking whether its column buffers are loaded and
-    how many partitions they have starts no job (``df.rdd`` would
-    plan, and on an unbuilt cache run, the child).
+    Asks the session's cache manager for the JVM ``InMemoryRelation``
+    cached for ``df``'s plan now, not ``df``'s own planned query, which
+    Spark fixes the first time ``df`` is planned (a frame planned before
+    ``persist()`` would never see its cache).  Asking whether the
+    relation's column buffers are loaded and how many partitions they
+    have starts no job (``df.rdd`` would plan, and on an unbuilt cache
+    run, the child).
     """
-    relation = df._jdf.queryExecution().withCachedData()
-    if relation.nodeName() != "InMemoryRelation":
+    cached = df.sparkSession._jsparkSession.sharedState().cacheManager().lookupCachedData(df._jdf)
+    if cached.isEmpty():
         return None
-    builder = relation.cacheBuilder()
+    builder = cached.get().cachedRepresentation().cacheBuilder()
     if not builder.isCachedColumnBuffersLoaded():
         return None
     return builder.cachedColumnBuffers().getNumPartitions()
@@ -366,10 +369,14 @@ def reference_skyline(df: DataFrame, spec: SkylineSpec, cols: list[str]) -> Data
 
     ``spark.sql`` registers ``df`` under a fresh view name for the one
     statement it analyzes and drops the view again, so nothing is left
-    in the session catalog.
+    in the session catalog.  Dropping a view uncaches every cached plan
+    Spark takes for the view's own, ``df`` itself or a projection of
+    it, so the view is over ``df`` under an always-true filter (which
+    the optimizer removes): a persisted ``df`` stays cached and the
+    join reads its cache.
     """
     sql = listing4_sql("{df}", spec, cols, null_aware=not spec.complete)
-    return df.sparkSession.sql(sql, df=df)
+    return df.sparkSession.sql(sql, df=df.where(F.lit(True)))
 
 
 def single_dim_skyline(df: DataFrame, spec: SkylineSpec) -> DataFrame:

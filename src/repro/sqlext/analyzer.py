@@ -79,8 +79,13 @@ def _column_identifiers(expr: str) -> set[str]:
     for i, t in enumerate(tokens):
         if t.kind != "word" or t.text.lower() in _SQL_KEYWORDS:
             continue
-        if i + 1 < len(tokens) and tokens[i + 1].text == "(":
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        if nxt is not None and nxt.text == "(":
             continue  # function name
+        if nxt is not None and nxt.kind in ("string", "dquote"):
+            continue  # typed literal prefix: TIMESTAMP '…'
+        if i > 0 and tokens[i - 1].upper in ("AS", "::"):
+            continue  # type name: CAST(x AS DOUBLE), x::double
         if i > 0 and tokens[i - 1].text == ".":
             continue  # qualified tail: keep only the qualifier-free form simple
         out.add(t.text.lower())

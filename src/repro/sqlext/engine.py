@@ -26,22 +26,20 @@ __all__ = ["sky_sql"]
 
 
 def sky_sql(spark: SparkSession, query: str, *,
-            algorithm: Optional[str] = None,
-            parallelism: Optional[int] = None) -> DataFrame:
+            algorithm: Optional[str] = None) -> DataFrame:
     """Execute ``query``, which may contain a ``SKYLINE OF`` clause.
 
-    ``algorithm``/``parallelism`` override physical planning exactly
-    like :func:`repro.core.physical.compute_skyline`.
+    ``algorithm`` overrides Listing-8 selection exactly like
+    :func:`repro.core.physical.compute_skyline`, which runs with no
+    ``parallelism``: the local stage keeps the base query's partitions
+    (the null-bitmap stage of ``distributed_incomplete`` shuffles them).
     """
     parsed = parse_skyline_query(query)
     if parsed is None:
         return spark.sql(query)
 
     resolved = analyzer.resolve(spark, parsed.base_sql, parsed.spec)
-    node = optimizer.optimize(P.Skyline(
-        resolved.base, resolved.spec,
-        algorithm=algorithm, parallelism=parallelism,
-    ))
+    node = optimizer.optimize(P.Skyline(resolved.base, resolved.spec, algorithm=algorithm))
     out = P.execute(node)
     if resolved.final_columns:
         out = out.select(*resolved.final_columns)

@@ -35,6 +35,14 @@ class TestColumnIdentifiers:
     def test_case_folded(self):
         assert _column_identifiers("Price + TAX") == {"price", "tax"}
 
+    @pytest.mark.parametrize("expr", [
+        "CAST(price AS DOUBLE)", "price::double", "CAST(price AS DECIMAL(10, 2))",
+        "price - (TIMESTAMP '2020-01-01' - TIMESTAMP '2019-01-01')",
+        'DATE "2020-01-01" < price',
+    ])
+    def test_type_names_excluded(self, expr):
+        assert _column_identifiers(expr) == {"price"}
+
 
 class TestInjectSelectItems:
     def test_plain_select(self):

@@ -63,18 +63,56 @@ class TestTableDefs:
             assert table_def(t).sweep_values == (1, 2, 3, 5, 10)
 
 
+def plan_above_cache(df) -> str:
+    """The executed plan of ``df`` down to its first cached-input scan,
+    without the plan that built the cache."""
+    return df._jdf.queryExecution().executedPlan().toString().split("InMemoryRelation")[0]
+
+
 class TestHarness:
     def test_input_df_cached_and_materialized(self, spark):
         clear_cache()
-        a = input_df(spark, "airbnb", n=800, complete=True)
-        b = input_df(spark, "airbnb", n=800, complete=True)
+        a = input_df(spark, "airbnb", n=800, complete=True, executors=3)
+        b = input_df(spark, "airbnb", n=800, complete=True, executors=3)
         assert a is b
         assert a.count() > 0
         clear_cache()
 
+    def test_input_df_built_in_executors_partitions_one_at_a_time(self, spark):
+        clear_cache()
+        a = input_df(spark, "airbnb", n=700, complete=True, executors=2)
+        assert physical._built_cache_partitions(a) == 2
+        b = input_df(spark, "airbnb", n=700, complete=True, executors=3)
+        assert physical._built_cache_partitions(a) is None
+        assert physical._built_cache_partitions(b) == 3
+        clear_cache()
+        assert physical._built_cache_partitions(b) is None
+
     def test_unknown_dataset_rejected(self, spark):
         with pytest.raises(ValueError):
-            input_df(spark, "nope", n=10, complete=True)
+            input_df(spark, "nope", n=10, complete=True, executors=2)
+
+    @pytest.mark.parametrize("executors", [1, 3])
+    def test_reference_joins_over_executors_partitions(self, spark, executors):
+        out = build_cell_df(spark, dataset="store_sales", complete=True, dims=3, n=600,
+                            executors=executors, algorithm="reference")
+        # The anti join streams over the cached input and is the result:
+        # no shuffle between the join and the write.
+        plan = plan_above_cache(out)
+        assert "LeftAnti" in plan and "InMemoryTableScan" in plan
+        assert "Exchange" not in plan
+        assert out.rdd.getNumPartitions() == executors
+        clear_cache()
+
+    @pytest.mark.parametrize("executors", [1, 3])
+    def test_distributed_complete_reads_input_in_place(self, spark, executors):
+        out = build_cell_df(spark, dataset="store_sales", complete=True, dims=3, n=600,
+                            executors=executors, algorithm="distributed_complete")
+        plan = plan_above_cache(out)
+        assert "InMemoryTableScan" in plan
+        assert "RoundRobinPartitioning" not in plan
+        assert plan.count("Exchange") == 1  # only the global stage's repartition(1)
+        clear_cache()
 
     def test_timed_action_returns_seconds(self, spark):
         df = spark.range(1000)

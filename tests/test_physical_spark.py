@@ -339,6 +339,29 @@ class TestLocalStageShuffle:
         assert "RoundRobinPartitioning(3)" in executed_plan(out)
         assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
 
+    def test_frame_planned_before_persist_not_reshuffled(self, spark):
+        df = four_partition_df(spark, n=302)
+        assert df.rdd.getNumPartitions() == 4  # plans ``df`` before its cache exists
+        df.persist()
+        try:
+            df.count()  # builds the cache
+            pdf = df.toPandas()
+            assert physical._built_cache_partitions(df) == 4
+            out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=4)
+            assert "RoundRobinPartitioning" not in executed_plan(out)
+            assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
+        finally:
+            df.unpersist()
+
+    def test_reference_keeps_child_cached(self, cached4):
+        # The reference registers its input as a temp view for one
+        # statement; dropping that view must not unpersist the input.
+        df, pdf = cached4
+        out = compute_skyline(df, self.SPEC, algorithm="reference")
+        assert physical._built_cache_partitions(df) == 4
+        assert "InMemoryTableScan" in executed_plan(out)
+        assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
+
     def test_unpersisted_child_reshuffles(self, spark):
         # Not ``cached4``'s plan: Spark would read an equal plan from its cache.
         df = four_partition_df(spark, n=301)

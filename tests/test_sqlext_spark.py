@@ -221,6 +221,21 @@ class TestAnalyzerIntegration:
             sky_sql(spark, "SELECT price AS __sky_e0, id FROM hotels "
                            "SKYLINE OF user_rating MAX, id MIN")
 
+    @pytest.mark.parametrize("dim", ["CAST(price AS DOUBLE)", "price::double"])
+    def test_cast_dim_over_union_not_spliced(self, spark, hotels, dim):
+        # The type name is not a column: the dimension is evaluated over
+        # the union's output, which cannot take a spliced select item.
+        out = sky_sql(
+            spark,
+            "SELECT id, price, user_rating FROM hotels WHERE price < 150 UNION ALL "
+            "SELECT id, price, user_rating FROM hotels WHERE price >= 150 "
+            f"SKYLINE OF {dim} MIN, user_rating MAX",
+        ).toPandas()
+        exp = skyline_oracle_pandas(
+            hotels, spec_of(smin("price"), smax("user_rating")), incomplete=False
+        )
+        assert sorted(out["id"]) == sorted(exp["id"])
+
     def test_helper_prefix_without_splice(self, spark, hotels):
         # Every dimension is a base output column: no helper, no clash.
         out = sky_sql(spark, "SELECT id, price AS __sky_e0 FROM hotels "
@@ -265,12 +280,6 @@ class TestSkylineOverComplexBase:
     def test_bad_algorithm_rejected(self, spark, hotels):
         with pytest.raises(ValueError, match="unknown algorithm"):
             sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN", algorithm="nope")
-
-    @pytest.mark.parametrize("parallelism", [2.5, 0, -1, True])
-    def test_bad_parallelism_rejected(self, spark, hotels, parallelism):
-        with pytest.raises(ValueError, match="parallelism must be a positive int"):
-            sky_sql(spark, "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX",
-                    parallelism=parallelism)
 
     def test_parse_error_propagates(self, spark, hotels):
         with pytest.raises(SkylineParseError):
