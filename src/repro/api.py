@@ -30,8 +30,10 @@ def skyline(df: DataFrame, *dims: SkylineDimension,
 
     ``complete`` is the COMPLETE keyword (§5.5): assert NULL-free
     dimensions so the faster complete algorithms are chosen.
-    ``algorithm`` / ``parallelism`` override physical planning (see
-    ``repro.core.physical``).
+    ``algorithm`` overrides Listing-8 selection; ``parallelism`` sizes
+    the null-bitmap shuffle of ``distributed_incomplete`` (see
+    ``repro.core.physical.compute_skyline``).  The complete local stage
+    runs on ``df``'s own partitions: pass ``df.repartition(k)`` for ``k``.
     """
     spec = SkylineSpec(tuple(dims), distinct=distinct, complete=complete)
     node = optimizer.optimize(

@@ -6,9 +6,10 @@ from the paper's testbed, per DESIGN.md:
 
 * "executors" → partition count of the cell's input, for every
   algorithm alike, on one ``local[*]`` session: the input is cached
-  with exactly that many partitions, the stages of the specialized
-  algorithms read them in place, and the reference's anti join
-  streams over them;
+  with exactly that many partitions, the ``distributed_complete``
+  local stage reads them in place, the reference's anti join streams
+  over them, and ``parallelism=executors`` sizes the null-bitmap
+  shuffle of ``distributed_incomplete``;
 * timeout 3600 s → 120 s (data is scaled 1/4–1/5), enforced by
   cancelling the Spark job group — a timed-out cell reports ``None``
   and is rendered "t.o." exactly like the paper;

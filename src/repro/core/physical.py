@@ -7,7 +7,9 @@ From PySpark, each node becomes a ``mapInArrow`` stage over Arrow
 buffers (the NumPy kernels read the dimension columns' buffers
 directly); the ``AllTuples`` requirement is realized with
 ``repartition(1)`` (a shuffle, so the upstream local stage keeps its
-parallelism).
+parallelism).  The complete local stage asks for no distribution and
+runs on its child's partitions as they are; only the incomplete local
+stage shuffles, clustered on the null bitmap (§5.7).
 
 Four executable algorithms, named as in §6.3 / the performance charts:
 
@@ -142,27 +144,6 @@ def _drop_dims(out: DataFrame, spec: SkylineSpec, cols: list[str],
     return out.drop(*appended) if appended else out
 
 
-def _built_cache_partitions(df: DataFrame) -> Optional[int]:
-    """Partition count of ``df``'s cache if ``df``'s plan is persisted and
-    its cache is built, else None (unknown).
-
-    Asks the session's cache manager for the JVM ``InMemoryRelation``
-    cached for ``df``'s plan now, not ``df``'s own planned query, which
-    Spark fixes the first time ``df`` is planned (a frame planned before
-    ``persist()`` would never see its cache).  Asking whether the
-    relation's column buffers are loaded and how many partitions they
-    have starts no job (``df.rdd`` would plan, and on an unbuilt cache
-    run, the child).
-    """
-    cached = df.sparkSession._jsparkSession.sharedState().cacheManager().lookupCachedData(df._jdf)
-    if cached.isEmpty():
-        return None
-    builder = cached.get().cachedRepresentation().cacheBuilder()
-    if not builder.isCachedColumnBuffersLoaded():
-        return None
-    return builder.cachedColumnBuffers().getNumPartitions()
-
-
 def check_hints(algorithm: Optional[str], parallelism: Optional[int]) -> None:
     """Reject physical-planning hints the stages cannot honour.
 
@@ -285,27 +266,21 @@ _STAGES = {
 
 
 def _local_global(df: DataFrame, spec: SkylineSpec, cols: list[str], algorithm: str,
-                  parallelism: Optional[int], child: DataFrame) -> DataFrame:
+                  parallelism: Optional[int]) -> DataFrame:
     """Local skyline per partition, then the global skyline on one partition.
 
-    ``df`` is ``child`` with the appended dimension columns, a narrow
-    projection that keeps ``child``'s partitions.
+    The complete local stage runs on ``df``'s own partitions (§5.6:
+    ``UnspecifiedDistribution``); only the incomplete one shuffles.
     """
     local_fn, global_fn = _STAGES[algorithm]
     if local_fn is not None:
-        keys = []
         if algorithm == "distributed_incomplete":
             # §5.7: distribution keyed on IsNull() of every skyline dimension,
             # so each bitmap's tuples land together.  The local stage still
             # groups by exact bitmap internally, so correctness does not
             # depend on how hash partitioning buckets the bitmaps.
             keys = [F.isnull(F.col(c)) for c in cols]
-        # Unkeyed, a built cache with ``parallelism`` partitions already is
-        # the local stage's distribution: shuffling it again changes nothing.
-        if parallelism is not None and (keys or parallelism != _built_cache_partitions(child)):
-            df = df.repartition(parallelism, *keys)
-        elif keys:
-            df = df.repartition(*keys)
+            df = df.repartition(parallelism, *keys) if parallelism else df.repartition(*keys)
         df = df.mapInArrow(_make_stage(spec, cols, local_fn), df.schema)
     # The paper's ``AllTuples`` distribution: everything on one instance.
     # ``repartition(1)`` (not ``coalesce``) so a shuffle boundary separates
@@ -410,15 +385,12 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
 
     ``algorithm`` overrides Listing-8 selection (one of
     :data:`ALGORITHMS`; benchmarks use this to pit the four variants
-    against each other).  ``parallelism`` simulates the paper's
-    executor count: it is the partition count of the local-skyline
-    stage (None = keep the child's partitioning, the paper's
-    ``UnspecifiedDistribution`` default).  The ``distributed_complete``
-    local stage shuffles its input into ``parallelism`` partitions
-    unless ``df`` is persisted and its cache is already built with
-    exactly that many partitions; ``distributed_incomplete`` always
-    shuffles, keyed on the null bitmap (§5.7).  Building the result
-    starts no Spark job.
+    against each other).  ``parallelism`` is the partition count of
+    the null-bitmap shuffle of ``distributed_incomplete`` (§5.7; None =
+    Spark's default shuffle partition count).  The other algorithms
+    ignore it: the ``distributed_complete`` local stage runs on ``df``'s
+    own partitions, so a caller who wants ``k`` of them passes
+    ``df.repartition(k)``.  Building the result starts no Spark job.
     """
     check_hints(algorithm, parallelism)
     work, cols, appended, nullable = _materialize_dims(df, spec)
@@ -426,5 +398,5 @@ def compute_skyline(df: DataFrame, spec: SkylineSpec, *,
     if algorithm == "reference":
         out = reference_skyline(work, spec, cols)
     else:
-        out = _local_global(work, spec, cols, algorithm, parallelism, df)
+        out = _local_global(work, spec, cols, algorithm, parallelism)
     return _drop_dims(out, spec, cols, appended)

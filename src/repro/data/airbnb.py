@@ -8,8 +8,10 @@ equivalent with the exact Table-1 schema, correlated listing
 attributes (bigger places cost more, more reviews → rating present)
 and a NULL pattern tuned to the same ≈31% incomplete-row rate.
 
-Scale: the reproduction default is 1/40 of the paper (29,500 rows
-incomplete → ≈20,300 complete).
+Scale: every caller passes the row count ``n``.  The table
+reproduction runs at 1/2 of the paper (``AIRBNB_N`` = 500,000 rows
+incomplete → ≈348,000 complete, ``repro.bench.tables``), the bench grid
+at 24,000 rows.
 
 Skyline dimensions, in the order the paper builds its 1..6-dimension
 queries (Table 1, top to bottom):
@@ -38,9 +40,6 @@ AIRBNB_DIMS: tuple[tuple[str, DimType], ...] = (
     ("review_scores_rating", DimType.MAX),
 )
 
-#: Default row count (see "Scale" above).
-DEFAULT_N = 29_500
-
 
 def airbnb_dims(k: int) -> list[SkylineDimension]:
     """First ``k`` skyline dimensions, as in the paper's k-dim queries."""
@@ -49,7 +48,7 @@ def airbnb_dims(k: int) -> list[SkylineDimension]:
     return [SkylineDimension(c, t) for c, t in AIRBNB_DIMS[:k]]
 
 
-def airbnb_pandas(*, n: int = DEFAULT_N, seed: int = 7) -> pd.DataFrame:
+def airbnb_pandas(*, n: int, seed: int = 7) -> pd.DataFrame:
     """Generate the incomplete (NULL-bearing) listings table as pandas."""
     g = np.random.default_rng(seed)
     # Household size skews small.
@@ -88,7 +87,7 @@ def airbnb_pandas(*, n: int = DEFAULT_N, seed: int = 7) -> pd.DataFrame:
     )
 
 
-def airbnb(spark: SparkSession, *, n: int = DEFAULT_N, seed: int = 7,
+def airbnb(spark: SparkSession, *, n: int, seed: int = 7,
            complete: bool = False) -> DataFrame:
     """The listings table as a DataFrame.
 

@@ -44,12 +44,11 @@ def sky_sql(spark: SparkSession, query: str, *,
     if resolved.final_columns:
         out = out.select(*resolved.final_columns)
 
-    if parsed.order_by is not None:
-        # The sort items are raw SQL over the output columns; ``spark.sql``
-        # drops the view it registers for ``{out}`` once it has analyzed
-        # the statement.  Braces are doubled so they reach Spark as typed.
-        order = parsed.order_by.replace("{", "{{").replace("}", "}}")
-        out = spark.sql(f"SELECT * FROM {{out}} ORDER BY {order}", out=out)
-    if parsed.limit is not None:
-        out = out.limit(parsed.limit)
+    if parsed.tail is not None:
+        # ORDER BY / LIMIT / OFFSET as written, analyzed by Spark over the
+        # skyline's output; ``spark.sql`` drops the view it registers for
+        # ``{out}`` once it has analyzed the statement.  Braces are doubled
+        # so they reach Spark as typed.
+        tail = parsed.tail.replace("{", "{{").replace("}", "}}")
+        out = spark.sql(f"SELECT * FROM {{out}} {tail}", out=out)
     return out

@@ -1,6 +1,6 @@
 """Parser for the extended skyline syntax (paper §5.1, Listings 3 & 5).
 
-Grammar (after the optional HAVING clause, before ORDER BY / LIMIT):
+Grammar (after the optional HAVING clause, before ORDER BY / LIMIT / OFFSET):
 
     SKYLINE OF [DISTINCT] [COMPLETE] item (',' item)*
     item := expression (MIN | MAX | DIFF)
@@ -9,10 +9,12 @@ The paper extends Spark's ANTLR grammar; here a lightweight tokenizer
 finds the top-level ``SKYLINE`` clause inside an otherwise-arbitrary
 Spark SQL string (quotes, backticks, comments, and nested parentheses
 are respected, so subqueries containing the word SKYLINE are not
-touched).  The text before the clause (the *base query*) and the
-ORDER BY / LIMIT tail keep their original spelling and are handed back
-to Spark SQL untouched — mirroring how the paper reuses the rest of
-the Spark parser.
+touched).  The word ``SKYLINE`` opens the clause only when ``OF``
+follows it, so a column or alias named ``skyline`` is left to Spark.
+The text before the clause (the *base query*) and the tail after it
+(``ORDER BY``, ``LIMIT``, ``OFFSET``) keep their original spelling and
+are handed back to Spark SQL untouched — mirroring how the paper
+reuses the rest of the Spark parser.
 """
 from __future__ import annotations
 
@@ -93,20 +95,25 @@ class ParsedSkylineQuery:
     """A query split around its SKYLINE clause.
 
     ``base_sql`` is everything before the clause (a complete Spark SQL
-    query); ``order_by``/``limit`` is the tail after the clause, to be
-    applied on the skyline result (the clause sits between HAVING and
+    query); ``tail`` is the raw text after it, from its first ``ORDER``,
+    ``LIMIT`` or ``OFFSET`` word on (None if there is none), which Spark
+    applies to the skyline result (the clause sits between HAVING and
     ORDER BY, Listing 3).
     """
 
     base_sql: str
     spec: SkylineSpec
-    order_by: Optional[str] = None
-    limit: Optional[int] = None
+    tail: Optional[str] = None
+
+
+_DIM_TYPES = ("MIN", "MAX", "DIFF")
+_TAIL_WORDS = ("ORDER", "LIMIT", "OFFSET")
 
 
 def _find_skyline(tokens: list[Token]) -> Optional[int]:
-    for idx, t in enumerate(tokens):
-        if t.depth == 0 and t.kind == "word" and t.upper == "SKYLINE":
+    """Index of the first top-level ``SKYLINE`` word that ``OF`` follows."""
+    for idx, (t, nxt) in enumerate(zip(tokens, tokens[1:])):
+        if t.depth == 0 and t.kind == "word" and t.upper == "SKYLINE" and nxt.upper == "OF":
             return idx
     return None
 
@@ -128,10 +135,7 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
     base_sql = query[: tokens[at].start].strip()
     if not base_sql:
         raise SkylineParseError("SKYLINE clause requires a preceding SELECT query")
-    i = at + 1
-    if i >= len(tokens) or tokens[i].upper != "OF":
-        raise SkylineParseError("expected OF after SKYLINE")
-    i += 1
+    i = at + 2
     distinct = False
     complete = False
     if i < len(tokens) and tokens[i].upper == "DISTINCT":
@@ -139,20 +143,21 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
     if i < len(tokens) and tokens[i].upper == "COMPLETE":
         complete, i = True, i + 1
 
-    # Collect dimension items up to top-level ORDER / LIMIT or end.
+    # Collect dimension items up to the tail: a top-level ORDER, LIMIT or
+    # OFFSET word right after an item's type (so a dimension may still
+    # name a column ``offset``), or the end.
     items: list[tuple[int, int]] = []  # token index spans [start, end)
     item_start = i
     end_clause = len(tokens)
-    j = i
-    while j < len(tokens):
+    for j in range(i, len(tokens)):
         t = tokens[j]
-        if t.depth == 0 and t.kind == "word" and t.upper in ("ORDER", "LIMIT"):
+        if (t.depth == 0 and t.kind == "word" and t.upper in _TAIL_WORDS
+                and tokens[j - 1].upper in _DIM_TYPES):
             end_clause = j
             break
         if t.depth == 0 and t.text == ",":
             items.append((item_start, j))
             item_start = j + 1
-        j += 1
     items.append((item_start, end_clause))
 
     dims: list[SkylineDimension] = []
@@ -160,7 +165,7 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
         if e <= s:
             raise SkylineParseError("empty skyline dimension item")
         last = tokens[e - 1]
-        if last.kind != "word" or last.upper not in ("MIN", "MAX", "DIFF"):
+        if last.kind != "word" or last.upper not in _DIM_TYPES:
             raise SkylineParseError(
                 f"skyline item must end with MIN, MAX or DIFF near {query[tokens[s].start:last.end]!r}"
             )
@@ -173,27 +178,5 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
     except ValueError as exc:
         raise SkylineParseError(str(exc)) from exc
 
-    # Tail: [ORDER BY ...] [LIMIT n]
-    order_by: Optional[str] = None
-    limit: Optional[int] = None
-    k = end_clause
-    if k < len(tokens) and tokens[k].upper == "ORDER":
-        if k + 1 >= len(tokens) or tokens[k + 1].upper != "BY":
-            raise SkylineParseError("expected BY after ORDER")
-        k += 2
-        ob_start = k
-        while k < len(tokens) and not (tokens[k].depth == 0 and tokens[k].upper == "LIMIT"):
-            k += 1
-        if k <= ob_start:
-            raise SkylineParseError("empty ORDER BY list")
-        order_by = query[tokens[ob_start].start : tokens[k - 1].end].strip()
-    if k < len(tokens) and tokens[k].upper == "LIMIT":
-        if k + 1 >= len(tokens) or not tokens[k + 1].text.isdigit():
-            raise SkylineParseError("expected an integer after LIMIT")
-        limit = int(tokens[k + 1].text)
-        k += 2
-    if k < len(tokens):
-        trailing = query[tokens[k].start :]
-        if trailing.strip(" ;\n\t"):
-            raise SkylineParseError(f"unexpected trailing input after skyline clause: {trailing!r}")
-    return ParsedSkylineQuery(base_sql=base_sql, spec=spec, order_by=order_by, limit=limit)
+    tail = query[tokens[end_clause].start:] if end_clause < len(tokens) else None
+    return ParsedSkylineQuery(base_sql=base_sql, spec=spec, tail=tail)

@@ -1,4 +1,5 @@
-"""Shared test utilities: the definitional skyline oracle.
+"""Shared test utilities: the definitional skyline oracle, and the
+physical plan Spark runs for a DataFrame.
 
 This is the tests' one statement of dominance (Definition 3.1 and its
 §3 null-aware form), written independently of ``repro.core``: the
@@ -19,6 +20,7 @@ __all__ = [
     "naive_skyline_mask",
     "skyline_oracle_pandas",
     "assert_skyline_equals_oracle",
+    "executed_plan",
 ]
 
 
@@ -100,3 +102,8 @@ def assert_skyline_equals_oracle(spark_df, input_pdf: pd.DataFrame,
     expected = skyline_oracle_pandas(input_pdf, spec, incomplete=incomplete)
     cols = ", ".join(spark_df.columns)
     assert_equivalent(spark_df, f"SELECT {cols} FROM expected", expected=expected)
+
+
+def executed_plan(df) -> str:
+    """The physical plan Spark will run for ``df``, as ``explain`` prints it."""
+    return df._jdf.queryExecution().executedPlan().toString()

@@ -12,6 +12,8 @@ from repro.bench.tables import (
 )
 from repro.core import physical
 
+from tests.helpers import executed_plan
+
 
 class TestTableDefs:
     def test_all_ten_tables_defined(self):
@@ -66,7 +68,7 @@ class TestTableDefs:
 def plan_above_cache(df) -> str:
     """The executed plan of ``df`` down to its first cached-input scan,
     without the plan that built the cache."""
-    return df._jdf.queryExecution().executedPlan().toString().split("InMemoryRelation")[0]
+    return executed_plan(df).split("InMemoryRelation")[0]
 
 
 class TestHarness:
@@ -81,12 +83,12 @@ class TestHarness:
     def test_input_df_built_in_executors_partitions_one_at_a_time(self, spark):
         clear_cache()
         a = input_df(spark, "airbnb", n=700, complete=True, executors=2)
-        assert physical._built_cache_partitions(a) == 2
+        assert a.storageLevel.useMemory and a.rdd.getNumPartitions() == 2
         b = input_df(spark, "airbnb", n=700, complete=True, executors=3)
-        assert physical._built_cache_partitions(a) is None
-        assert physical._built_cache_partitions(b) == 3
+        assert not a.storageLevel.useMemory
+        assert b.storageLevel.useMemory and b.rdd.getNumPartitions() == 3
         clear_cache()
-        assert physical._built_cache_partitions(b) is None
+        assert not b.storageLevel.useMemory
 
     def test_unknown_dataset_rejected(self, spark):
         with pytest.raises(ValueError):

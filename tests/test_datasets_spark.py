@@ -3,14 +3,13 @@ import pandas as pd
 import pytest
 
 from repro.api import skyline
-from repro.core import physical
 from repro.core.spec import SkylineSpec
 from repro.data.airbnb import airbnb, airbnb_dims, airbnb_pandas, AIRBNB_DIMS
 from repro.data.store_sales import (
     STORE_SALES_DIMS, store_sales, store_sales_dims, store_sales_pandas,
 )
 
-from tests.helpers import assert_skyline_equals_oracle
+from tests.helpers import assert_skyline_equals_oracle, executed_plan
 
 
 class TestAirbnbSkylines:
@@ -96,11 +95,10 @@ class TestGeneratedTableEntersSpark:
         df = store_sales(spark, n=rows, complete=True).persist()
         try:
             df.count()
-            parts = physical._built_cache_partitions(df)
-            assert parts == df.rdd.getNumPartitions()
             out = skyline(df, *store_sales_dims(6), complete=True,
-                          algorithm="distributed_complete", parallelism=parts)
-            plan = out._jdf.queryExecution().executedPlan().toString()
+                          algorithm="distributed_complete", parallelism=df.rdd.getNumPartitions())
+            plan = executed_plan(out)
+            assert "InMemoryTableScan" in plan
             assert plan.count("Exchange") == 1  # only the global stage's repartition(1)
         finally:
             df.unpersist()

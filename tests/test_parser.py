@@ -73,7 +73,7 @@ class TestParseBasics:
             ("price", DimType.MIN), ("user_rating", DimType.MAX),
         ]
         assert not p.spec.distinct and not p.spec.complete
-        assert p.order_by is None and p.limit is None
+        assert p.tail is None
 
     def test_case_insensitive_keywords(self):
         p = parse_skyline_query("select a from t skyline of a min")
@@ -109,23 +109,47 @@ class TestParseBasics:
         p = parse_skyline_query(f"SELECT * FROM t SKYLINE OF {items}")
         assert len(p.spec.dimensions) == 6
 
+    @pytest.mark.parametrize("q", [
+        "SELECT skyline FROM t",           # a column named skyline
+        "SELECT a FROM t SKYLINE a MIN",   # no OF: Spark's to parse (and reject)
+    ])
+    def test_skyline_without_of_is_not_a_clause(self, q):
+        assert parse_skyline_query(q) is None
+
+    def test_column_named_skyline_as_dimension(self):
+        p = parse_skyline_query("SELECT skyline FROM t SKYLINE OF skyline MIN")
+        assert p.base_sql == "SELECT skyline FROM t"
+        assert [d.expr for d in p.spec.dimensions] == ["skyline"]
+
+    def test_tail_words_as_dimensions(self):
+        p = parse_skyline_query("SELECT * FROM t SKYLINE OF offset MIN, limit MAX LIMIT 3")
+        assert [d.expr for d in p.spec.dimensions] == ["offset", "limit"]
+        assert p.tail == "LIMIT 3"
+
 
 class TestParseTail:
     def test_order_by(self):
         p = parse_skyline_query("SELECT a FROM t SKYLINE OF a MIN ORDER BY a DESC")
-        assert p.order_by == "a DESC"
+        assert p.tail == "ORDER BY a DESC"
 
     def test_order_by_multiple(self):
         p = parse_skyline_query("SELECT a, b FROM t SKYLINE OF a MIN ORDER BY a, b DESC")
-        assert p.order_by == "a, b DESC"
+        assert p.tail == "ORDER BY a, b DESC"
 
     def test_limit(self):
         p = parse_skyline_query("SELECT a FROM t SKYLINE OF a MIN LIMIT 10")
-        assert p.limit == 10 and p.order_by is None
+        assert p.tail == "LIMIT 10"
 
     def test_order_by_and_limit(self):
-        p = parse_skyline_query("SELECT a FROM t SKYLINE OF a MIN ORDER BY a LIMIT 3")
-        assert p.order_by == "a" and p.limit == 3
+        p = parse_skyline_query("SELECT a FROM t SKYLINE OF a MIN ORDER BY a LIMIT 3;")
+        assert p.tail == "ORDER BY a LIMIT 3"
+
+    @pytest.mark.parametrize("tail", ["LIMIT ALL", "LIMIT 3 OFFSET 1", "OFFSET 2",
+                                      "ORDER a", "LIMIT x"])
+    def test_tail_kept_as_written(self, tail):
+        # Spark parses the tail: it runs the first three and rejects the rest.
+        p = parse_skyline_query(f"SELECT a FROM t SKYLINE OF a MIN {tail}")
+        assert p.tail == tail
 
     def test_trailing_semicolon_ok(self):
         p = parse_skyline_query("SELECT a FROM t SKYLINE OF a MIN;")
@@ -141,25 +165,17 @@ class TestParseTail:
 
 class TestParseErrors:
     @pytest.mark.parametrize("q", [
-        "SELECT a FROM t SKYLINE a MIN",              # missing OF
         "SELECT a FROM t SKYLINE OF",                 # no items
         "SELECT a FROM t SKYLINE OF a",               # missing type
         "SELECT a FROM t SKYLINE OF a MIN,",          # trailing comma
         "SELECT a FROM t SKYLINE OF a MIN, b",        # second item missing type
         "SELECT a FROM t SKYLINE OF MIN",             # missing expression
         "SKYLINE OF a MIN",                           # no base query
-        "SELECT a FROM t SKYLINE OF a MIN ORDER a",   # ORDER without BY
-        "SELECT a FROM t SKYLINE OF a MIN LIMIT x",   # non-numeric limit
         "SELECT a FROM t SKYLINE OF a MIN extra junk" # trailing garbage
     ])
     def test_malformed(self, q):
         with pytest.raises(SkylineParseError):
             parse_skyline_query(q)
-
-    @pytest.mark.parametrize("limit", ["2.5", "1e3"])
-    def test_non_integer_limit(self, limit):
-        with pytest.raises(SkylineParseError, match="expected an integer after LIMIT"):
-            parse_skyline_query(f"SELECT a FROM t SKYLINE OF a MIN LIMIT {limit}")
 
     def test_duplicate_dimensions_rejected(self):
         with pytest.raises(SkylineParseError):

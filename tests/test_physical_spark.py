@@ -6,6 +6,7 @@ for complete data, the DuckDB-executed Listing-4 rewrite) — §5.9's
 """
 import datetime
 import fnmatch
+import re
 import threading
 import time
 import uuid
@@ -26,14 +27,9 @@ from repro.core.spec import SkylineSpec, sdiff, smax, smin, spec_of
 from repro.oracle import assert_equivalent
 from repro.sqlext import sky_sql
 
-from tests.helpers import assert_skyline_equals_oracle, skyline_oracle_pandas
+from tests.helpers import assert_skyline_equals_oracle, executed_plan, skyline_oracle_pandas
 
 SPECIALIZED = [a for a in ALGORITHMS if a != "reference"]
-
-
-def executed_plan(df) -> str:
-    """The physical plan Spark will run for ``df``, as ``explain`` prints it."""
-    return df._jdf.queryExecution().executedPlan().toString()
 
 
 def make_pdf(seed: int, n: int = 300, *, ties: bool = True, null_rate: float = 0.0) -> pd.DataFrame:
@@ -321,7 +317,7 @@ def cached4(spark):
 
 
 class TestLocalStageShuffle:
-    """The unkeyed local stage reuses a built cache's partitions (§5.6)."""
+    """Only the incomplete local stage shuffles its input (§5.6, §5.7)."""
 
     SPEC = spec_of(smin("a"), smax("b"), smin("c"), complete=True)
 
@@ -333,11 +329,37 @@ class TestLocalStageShuffle:
         assert plan.count("Exchange") == 1  # only the global stage's repartition(1)
         assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
 
-    def test_other_parallelism_reshuffles(self, cached4):
-        df, pdf = cached4
+    @pytest.mark.parametrize("cached", [False, True], ids=["unpersisted", "built_cache"])
+    def test_complete_local_stage_reads_child_partitions(self, spark, cached4, cached):
+        # Unpersisted, not ``cached4``'s plan: Spark would read an equal plan
+        # from its cache.
+        df = cached4[0] if cached else four_partition_df(spark, n=301)
         out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=3)
-        assert "RoundRobinPartitioning(3)" in executed_plan(out)
+        plan = executed_plan(out)
+        # One shuffle, the global stage's repartition(1): the local stage is a
+        # narrow step over the child's 4 partitions.
+        assert df.rdd.getNumPartitions() == 4
+        assert "RoundRobinPartitioning" not in plan
+        assert plan.count("Exchange") == 1
+        assert_skyline_equals_oracle(out, df.toPandas(), self.SPEC, incomplete=False)
+
+    def test_repartitioned_child_keeps_its_shuffle(self, cached4):
+        df, pdf = cached4
+        out = compute_skyline(df.repartition(3), self.SPEC, algorithm="distributed_complete",
+                              parallelism=3)
+        plan = executed_plan(out)
+        assert "RoundRobinPartitioning(3)" in plan
+        assert plan.count("Exchange") == 2
         assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
+
+    def test_incomplete_shuffles_on_null_bitmap(self, spark):
+        pdf = make_pdf(70, null_rate=0.2)
+        spec = spec_of(smin("a"), smax("b"), smin("c"))
+        out = compute_skyline(spark.createDataFrame(pdf), spec,
+                              algorithm="distributed_incomplete", parallelism=3)
+        assert re.search(r"hashpartitioning\(isnull\(a#\d+\), isnull\(b#\d+\), "
+                         r"isnull\(c#\d+\), 3\)", executed_plan(out))
+        assert_skyline_equals_oracle(out, pdf, spec, incomplete=True)
 
     def test_frame_planned_before_persist_not_reshuffled(self, spark):
         df = four_partition_df(spark, n=302)
@@ -346,9 +368,9 @@ class TestLocalStageShuffle:
         try:
             df.count()  # builds the cache
             pdf = df.toPandas()
-            assert physical._built_cache_partitions(df) == 4
             out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=4)
-            assert "RoundRobinPartitioning" not in executed_plan(out)
+            plan = executed_plan(out)
+            assert "InMemoryTableScan" in plan and plan.count("Exchange") == 1
             assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
         finally:
             df.unpersist()
@@ -358,16 +380,8 @@ class TestLocalStageShuffle:
         # statement; dropping that view must not unpersist the input.
         df, pdf = cached4
         out = compute_skyline(df, self.SPEC, algorithm="reference")
-        assert physical._built_cache_partitions(df) == 4
+        assert df.storageLevel.useMemory
         assert "InMemoryTableScan" in executed_plan(out)
-        assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
-
-    def test_unpersisted_child_reshuffles(self, spark):
-        # Not ``cached4``'s plan: Spark would read an equal plan from its cache.
-        df = four_partition_df(spark, n=301)
-        pdf = df.toPandas()
-        out = compute_skyline(df, self.SPEC, algorithm="distributed_complete", parallelism=4)
-        assert "RoundRobinPartitioning(4)" in executed_plan(out)
         assert_skyline_equals_oracle(out, pdf, self.SPEC, incomplete=False)
 
     def test_building_starts_no_job(self, spark):

@@ -2,6 +2,7 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import AnalysisException
 
 from repro.api import skyline
 from repro.core.physical import ALGORITHMS
@@ -84,6 +85,29 @@ class TestBasicQueries:
             "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX ORDER BY price LIMIT 2",
         ).toPandas()
         assert len(out) == 2
+
+    def test_limit_all_and_offset(self, spark, hotels):
+        q = "SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX ORDER BY price, id"
+        exp = skyline_oracle_pandas(
+            hotels, spec_of(smin("price"), smax("user_rating")), incomplete=False
+        )
+        ids = list(exp.sort_values(["price", "id"])["id"])
+        assert list(sky_sql(spark, q + " LIMIT ALL").toPandas()["id"]) == ids
+        assert list(sky_sql(spark, q + " LIMIT 3 OFFSET 1").toPandas()["id"]) == ids[1:4]
+
+    @pytest.mark.parametrize("tail", ["ORDER a", "LIMIT x", "LIMIT 2.5", "LIMIT 1e3"])
+    def test_malformed_tail_rejected_by_spark(self, spark, hotels, tail):
+        # Spark parses and analyzes the tail while the result is built,
+        # before any job runs.
+        with pytest.raises(AnalysisException):
+            sky_sql(spark, f"SELECT * FROM hotels SKYLINE OF price MIN, user_rating MAX {tail}")
+
+    def test_column_named_skyline_passthrough(self, spark, hotels):
+        renamed = "(SELECT id, price AS skyline FROM hotels)"
+        q = f"SELECT skyline FROM {renamed}"
+        assert_equivalent(sky_sql(spark, q), q, hotels=hotels)
+        out = sky_sql(spark, f"SELECT * FROM {renamed} SKYLINE OF skyline MIN").toPandas()
+        assert sorted(out["id"]) == sorted(hotels.loc[hotels.price == hotels.price.min(), "id"])
 
     def test_where_clause_restricts_input(self, spark, hotels):
         out = sky_sql(
