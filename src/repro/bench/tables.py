@@ -74,17 +74,20 @@ class TableDef:
         paper_n = sweep_value if self.sweep == "tuples" else self.paper_n
         return (BENCH_SS_SCALE if bench else SS_SCALE)[paper_n]
 
+    def dims(self, sweep_value) -> int:
+        """Skyline dimensions of one cell."""
+        return sweep_value if self.sweep == "dims" else self.fixed_dims
+
     def cells(self, bench: bool = False):
         """Yield cell dicts for the harness, in table order."""
         for v in self.sweep_values:
-            dims = v if self.sweep == "dims" else self.fixed_dims
             executors = v if self.sweep == "executors" else self.fixed_executors
             n = self.our_n(v, bench)
             for algo in self.algorithms:
                 yield {
                     "dataset": self.dataset,
                     "complete": self.complete,
-                    "dims": dims,
+                    "dims": self.dims(v),
                     "n": n,
                     "executors": executors,
                     "algorithm": algo,

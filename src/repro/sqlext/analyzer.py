@@ -73,11 +73,16 @@ def _contains_aggregate(expr: str) -> bool:
 
 
 def _column_identifiers(expr: str) -> set[str]:
-    """Lower-cased bare identifiers of ``expr`` that look like column refs."""
+    """Lower-cased identifiers of ``expr`` that look like column refs;
+    a backquoted one is unquoted."""
     tokens = tokenize(expr)
     out: set[str] = set()
     for i, t in enumerate(tokens):
-        if t.kind != "word" or t.text.lower() in _SQL_KEYWORDS:
+        if t.kind == "bquote":
+            name = t.text[1:-1].lower()
+        elif t.kind == "word" and t.text.lower() not in _SQL_KEYWORDS:
+            name = t.text.lower()
+        else:
             continue
         nxt = tokens[i + 1] if i + 1 < len(tokens) else None
         if nxt is not None and nxt.text == "(":
@@ -88,7 +93,7 @@ def _column_identifiers(expr: str) -> set[str]:
             continue  # type name: CAST(x AS DOUBLE), x::double
         if i > 0 and tokens[i - 1].text == ".":
             continue  # qualified tail: keep only the qualifier-free form simple
-        out.add(t.text.lower())
+        out.add(name)
     return out
 
 

@@ -5,6 +5,11 @@ Grammar (after the optional HAVING clause, before ORDER BY / LIMIT / OFFSET):
     SKYLINE OF [DISTINCT] [COMPLETE] item (',' item)*
     item := expression (MIN | MAX | DIFF)
 
+Spark does not reserve ``COMPLETE`` (nor, by default, ``DISTINCT``),
+so either word followed by a type that ends the first item is that
+item's column: ``SKYLINE OF complete MIN`` is a skyline over
+``complete``.
+
 The paper extends Spark's ANTLR grammar; here a lightweight tokenizer
 finds the top-level ``SKYLINE`` clause inside an otherwise-arbitrary
 Spark SQL string (quotes, backticks, comments, and nested parentheses
@@ -118,6 +123,21 @@ def _find_skyline(tokens: list[Token]) -> Optional[int]:
     return None
 
 
+def _is_flag(tokens: list[Token], i: int, word: str) -> bool:
+    """Whether ``tokens[i]`` is the ``word`` flag, not a column so named.
+
+    It names a column when a dimension type follows it and closes the
+    first item, i.e. a top-level ``,``, a tail word or the end follows
+    that type: ``SKYLINE OF complete MIN``.
+    """
+    if i >= len(tokens) or tokens[i].upper != word:
+        return False
+    nxt = tokens[i + 1:i + 3]
+    if not nxt or nxt[0].upper not in _DIM_TYPES:
+        return True
+    return len(nxt) == 2 and nxt[1].text != "," and nxt[1].upper not in _TAIL_WORDS
+
+
 def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
     """Parse the SKYLINE clause out of ``query``.
 
@@ -136,12 +156,10 @@ def parse_skyline_query(query: str) -> Optional[ParsedSkylineQuery]:
     if not base_sql:
         raise SkylineParseError("SKYLINE clause requires a preceding SELECT query")
     i = at + 2
-    distinct = False
-    complete = False
-    if i < len(tokens) and tokens[i].upper == "DISTINCT":
-        distinct, i = True, i + 1
-    if i < len(tokens) and tokens[i].upper == "COMPLETE":
-        complete, i = True, i + 1
+    distinct = _is_flag(tokens, i, "DISTINCT")
+    i += distinct
+    complete = _is_flag(tokens, i, "COMPLETE")
+    i += complete
 
     # Collect dimension items up to the tail: a top-level ORDER, LIMIT or
     # OFFSET word right after an item's type (so a dimension may still

@@ -35,6 +35,9 @@ class TestColumnIdentifiers:
     def test_case_folded(self):
         assert _column_identifiers("Price + TAX") == {"price", "tax"}
 
+    def test_backquoted_unquoted(self):
+        assert _column_identifiers("`Price` + `tax`") == {"price", "tax"}
+
     @pytest.mark.parametrize("expr", [
         "CAST(price AS DOUBLE)", "price::double", "CAST(price AS DECIMAL(10, 2))",
         "price - (TIMESTAMP '2020-01-01' - TIMESTAMP '2019-01-01')",

@@ -6,7 +6,9 @@ import pytest
 from repro.bench.harness import (
     TIMEOUT_SECONDS, build_cell_df, clear_cache, input_df, run_cell, timed_action,
 )
-from repro.bench.report import load_results, render_section, results_path, results_to_json
+from repro.bench.report import (
+    CLAIMS, load_results, render_section, results_path, results_to_json, verdicts,
+)
 from repro.bench.tables import (
     COMPLETE_ALGOS, INCOMPLETE_ALGOS, SS_SCALE, TABLES, table_def,
 )
@@ -254,8 +256,62 @@ class TestReport:
             f.write(results_to_json(td, results))
         assert load_results(str(tmp_path), 4) == results
 
+    def test_render_prints_verdict_rows(self):
+        td = table_def(9)
+        results = {(v, a): 2.0 if a == "reference" else 1.0
+                   for v in td.sweep_values for a in td.algorithms}
+        md = render_section(td, results)
+        for claim in CLAIMS:
+            assert f"| claim: {claim} | holds | holds | holds | holds | holds |" in md
+
     def test_render_without_results_names_the_job(self):
-        md = render_section(table_def(4), None, "A note.")
+        md = render_section(table_def(4), None)
         assert "no reproduction results found" in md
         assert "`python jobs/run_table.py --table 4`" in md
-        assert "Ours" not in md and md.endswith("A note.\n")
+        assert "Ours" not in md
+
+
+class TestVerdicts:
+    """``verdicts`` on one cell of a synthetic results dict."""
+
+    @staticmethod
+    def _judge(table, sweep_value, **seconds):
+        td = table_def(table)
+        at = td.sweep_values.index(sweep_value)
+        results = {(sweep_value, a): seconds.get(a) for a in td.algorithms}
+        return {claim: cells[at] for claim, cells in verdicts(td, results).items()}
+
+    @pytest.mark.parametrize("seconds, expected", [
+        ({"reference": 2.0, "non_distributed_complete": 2.0,
+          "distributed_complete": 2.0, "distributed_incomplete": 3.0}, ("fails", "holds")),
+        ({"non_distributed_complete": 5.0, "distributed_complete": 4.0,
+          "distributed_incomplete": 6.0}, ("holds", "holds")),
+        ({"reference": 3.0, "non_distributed_complete": 2.0}, ("holds", "fails")),
+        ({"reference": 3.0, "distributed_complete": 2.0}, ("holds", "holds")),
+        ({"reference": 3.0, "non_distributed_complete": 1.0,
+          "distributed_complete": 2.0}, ("holds", "fails")),
+        ({"reference": 3.0}, ("fails", "n.a.")),
+        ({}, ("n.a.", "n.a.")),
+    ], ids=["tie", "reference-timed-out", "distributed-timed-out",
+            "others-timed-out", "distributed-behind", "specialized-timed-out",
+            "all-timed-out"])
+    def test_complete_cell(self, seconds, expected):
+        # Table 9 at 1 executor: complete data, 6 dimensions.
+        assert self._judge(9, 1, **seconds) == dict(zip(CLAIMS, expected))
+
+    def test_one_dimension_cell_has_no_distributed_verdict(self):
+        # Table 3 at 1 dimension: every specialized algorithm runs one plan.
+        assert self._judge(3, 1, reference=5.0, non_distributed_complete=1.0,
+                           distributed_complete=3.0, distributed_incomplete=2.0) == {
+            CLAIMS[0]: "holds", CLAIMS[1]: "n.a."}
+
+    def test_incomplete_table_has_one_claim(self):
+        assert self._judge(4, 2, reference=1.39, distributed_incomplete=1.97) == {
+            CLAIMS[0]: "fails"}
+
+    @pytest.mark.parametrize("reference", [116.5, None])
+    def test_reference_near_timeout_same_verdict(self, reference):
+        # The bench Table 12 reference at 1 executor runs close to the
+        # timeout: finished or not, the verdict is the same.
+        assert self._judge(12, 1, reference=reference, distributed_incomplete=40.0) == {
+            CLAIMS[0]: "holds"}

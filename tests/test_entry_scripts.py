@@ -35,7 +35,7 @@ def test_job_imports(monkeypatch, name):
 def test_run_table_writes_json_and_prints_section(monkeypatch, tmp_path, capsys):
     """``run_table`` without Spark, at both scales: ``run_cell`` returns
     fixed seconds, and ``None`` (timed out) for the 6-dimension reference
-    cell."""
+    cell.  The printed section judges the claims."""
     run_table = _job(monkeypatch, "run_table")
     calls = []
 
@@ -60,6 +60,10 @@ def test_run_table_writes_json_and_prints_section(monkeypatch, tmp_path, capsys)
         assert out.startswith(f"## Table 4 — {tdef.caption}")
         assert "| reference | 1.50 s | 1.50 s | 1.50 s | 1.50 s | 1.50 s | t.o. |" in out
         assert "| distributed incomplete | 100.00% |" in out and "| n.a. |" in out
+        # A tie is no win; the timed-out reference is beaten.
+        assert ("| claim: best specialized < reference | fails | fails | fails | fails "
+                "| fails | holds |") in out
+        assert "claim: distributed complete" not in out
 
 
 def test_run_table_warm_up_writes_each_algorithm_once(monkeypatch, capsys):

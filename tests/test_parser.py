@@ -121,10 +121,24 @@ class TestParseBasics:
         assert p.base_sql == "SELECT skyline FROM t"
         assert [d.expr for d in p.spec.dimensions] == ["skyline"]
 
-    def test_tail_words_as_dimensions(self):
-        p = parse_skyline_query("SELECT * FROM t SKYLINE OF offset MIN, limit MAX LIMIT 3")
-        assert [d.expr for d in p.spec.dimensions] == ["offset", "limit"]
-        assert p.tail == "LIMIT 3"
+    @pytest.mark.parametrize("clause, exprs, flags, tail", [
+        ("offset MIN, limit MAX LIMIT 3", ["offset", "limit"], (False, False), "LIMIT 3"),
+        ("complete MIN", ["complete"], (False, False), None),
+        ("complete MIN, x MAX", ["complete", "x"], (False, False), None),
+        ("complete MIN LIMIT 3", ["complete"], (False, False), "LIMIT 3"),
+        ("COMPLETE complete MIN", ["complete"], (False, True), None),
+        ("DISTINCT complete MIN, x MAX", ["complete", "x"], (True, False), None),
+        ("distinct MAX", ["distinct"], (False, False), None),
+        ("COMPLETE MIN MIN", ["MIN"], (False, True), None),
+    ], ids=["offset-limit", "complete", "complete-then-item", "complete-then-tail",
+            "flag-then-complete", "distinct-flag-then-complete", "distinct", "flag-then-min"])
+    def test_keywords_as_dimensions(self, clause, exprs, flags, tail):
+        # A tail word after an item's type ends the clause; DISTINCT or
+        # COMPLETE is a flag unless a type that ends the first item follows it.
+        p = parse_skyline_query(f"SELECT * FROM t SKYLINE OF {clause}")
+        assert [d.expr for d in p.spec.dimensions] == exprs
+        assert (p.spec.distinct, p.spec.complete) == flags
+        assert p.tail == tail
 
 
 class TestParseTail:

@@ -109,6 +109,15 @@ class TestBasicQueries:
         out = sky_sql(spark, f"SELECT * FROM {renamed} SKYLINE OF skyline MIN").toPandas()
         assert sorted(out["id"]) == sorted(hotels.loc[hotels.price == hotels.price.min(), "id"])
 
+    def test_column_named_complete_as_dimension(self, spark, hotels):
+        renamed = "(SELECT id, price AS complete, user_rating FROM hotels)"
+        out = sky_sql(spark, f"SELECT * FROM {renamed} SKYLINE OF complete MIN, "
+                             "user_rating MAX").toPandas()
+        exp = skyline_oracle_pandas(
+            hotels, spec_of(smin("price"), smax("user_rating")), incomplete=False
+        )
+        assert sorted(out["id"]) == sorted(exp["id"])
+
     def test_where_clause_restricts_input(self, spark, hotels):
         out = sky_sql(
             spark,
@@ -162,6 +171,15 @@ class TestAnalyzerIntegration:
             spark, "SELECT id FROM hotels SKYLINE OF price MIN, user_rating MAX"
         )
         assert out.columns == ["id"]
+        exp = skyline_oracle_pandas(
+            hotels, spec_of(smin("price"), smax("user_rating")), incomplete=False
+        )
+        assert sorted(out.toPandas()["id"]) == sorted(exp["id"])
+
+    def test_backquoted_dim_not_in_projection(self, spark, hotels):
+        out = sky_sql(spark, "SELECT id, price FROM hotels "
+                             "SKYLINE OF price MIN, `user_rating` MAX")
+        assert out.columns == ["id", "price"]
         exp = skyline_oracle_pandas(
             hotels, spec_of(smin("price"), smax("user_rating")), incomplete=False
         )
